@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from typing import Iterator
 
 from . import oracle
 from .graph import SearchBounds, analyze, build, export_dot
@@ -25,12 +25,13 @@ from .pairs import (
     enumerate_pairs,
     is_gcd_pair,
     iter_pairs,
+    iter_rows,
     restrict,
 )
 from .verify import run_verification
 
 _EPILOG = f"""\
-exact-search bounds (override all with GCDPAIRS_MAX_EXACT=<n>):
+exact-search bounds (override all with GCDPAIRS_MAX_EXACT=<n>, n >= 1):
   maximum clique {SearchBounds().clique_exact}, chromatic number {SearchBounds().chromatic_exact}
 oracle bounds (fixed): exhaustive clique {oracle.MAX_CLIQUE_N}, chromatic {oracle.MAX_CHROMATIC_N}, \
 cycles {oracle.MAX_CYCLE_N}, domination {oracle.MAX_DOMINATION_N}
@@ -112,12 +113,6 @@ def _parse_subset(n: int, text: str) -> tuple[str, frozenset[int] | None]:
     return "subset:" + ",".join(map(str, sorted(residues))), residues
 
 
-def _filtered_pairs(n: int, subset: frozenset[int] | None) -> Iterator[tuple[int, int]]:
-    for a, b in iter_pairs(n):
-        if subset is None or (a in subset and b in subset):
-            yield (a, b)
-
-
 def cmd_list(args: argparse.Namespace) -> int:
     try:
         label, subset = _parse_subset(args.n, args.subset)
@@ -132,15 +127,14 @@ def cmd_list(args: argparse.Namespace) -> int:
         return 0
     out = sys.stdout
     count = 0
-    chunk: list[str] = []
-    for a, b in _filtered_pairs(args.n, subset):
-        chunk.append(f"{{{a},{b}}}")
-        count += 1
-        if len(chunk) >= 4096:
-            out.write("\n".join(chunk) + "\n")
-            chunk.clear()
-    if chunk:
-        out.write("\n".join(chunk) + "\n")
+    suffixes = [f"{b}}}\n" for b in range(args.n)]  # row a is "{a," + suffix, per b
+    for a, row in iter_rows(args.n):
+        if subset is not None:
+            row = [b for b in row if b in subset] if a in subset else []
+        if row:
+            prefix = f"{{{a},"
+            out.write(prefix + prefix.join([suffixes[b] for b in row]))
+            count += len(row)
     out.write(f"The number of gcd-pairs is {count}\n")
     return 0
 
@@ -237,7 +231,12 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    bounds = SearchBounds.from_env()
+    if args.analyze:
+        try:
+            bounds = SearchBounds.from_env()
+        except ValueError as exc:
+            print(f"gcdpairs graph: {exc}", file=sys.stderr)
+            return 2
     g = build(args.n)
     invariants: dict | None = None
     notes: list[str] = []
@@ -262,7 +261,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
         payload["notes"] = notes
         print(json.dumps(payload, indent=2))
         return 0
-    print(f"G_{args.n}: {args.n} vertices, {len(g.simple_edges)} edges, {len(g.loops)} loops")
+    print(f"G_{args.n}: {args.n} vertices, {g.edge_count()} edges, {len(g.loops)} loops")
     if invariants is not None:
         for key in (
             "connected",
@@ -282,12 +281,18 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.max_n is not None and args.max_n < 2:
+        print(f"gcdpairs verify: --max-n must be >= 2, got {args.max_n}", file=sys.stderr)
+        return 2
+    try:
+        bounds = SearchBounds.from_env()
+    except ValueError as exc:
+        print(f"gcdpairs verify: {exc}", file=sys.stderr)
+        return 2
     claim_filter = None
     if args.claims:
         claim_filter = [part.strip() for part in args.claims.split(",") if part.strip()]
-    report = run_verification(
-        max_n=args.max_n, claims=claim_filter, bounds=SearchBounds.from_env()
-    )
+    report = run_verification(max_n=args.max_n, claims=claim_filter, bounds=bounds)
     if not report.entries:
         print("gcdpairs verify: no claims match the filter", file=sys.stderr)
         return 2
@@ -305,7 +310,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse has printed its own message
         code = exc.code
         return code if isinstance(code, int) else 2
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader went away; send what is still buffered to devnull so the
+        # flush at interpreter exit stays silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"gcdpairs {args.command}: output pipe closed", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 """The graph on vertex set Z_n whose edge family is the gcd-pair set.
 
-Simple edges and loops are stored separately: a loop sits at every a >= 1 with
-a | n (gcd(a, a) = a), but coloring and planarity ignore loops. All
-witness-returning searches break ties lexicographically so outputs are
-deterministic and golden-testable.
+Simple edges and loops are stored separately: each vertex a has one int
+bitmask whose bit b is set when {a, b} is a simple edge, and a loop sits at
+every a >= 1 with a | n (gcd(a, a) = a), but coloring and planarity ignore
+loops. All witness-returning searches break ties lexicographically so outputs
+are deterministic and golden-testable.
 
 Exact searches (maximum clique, chromatic number) carry configurable input
 bounds and raise ExactSearchBoundError beyond them rather than approximating.
@@ -11,16 +12,12 @@ bounds and raise ExactSearchBoundError beyond them rather than approximating.
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass
-from functools import lru_cache
-from math import gcd
-
-import networkx as nx
+from typing import Iterable
 
 from .numtheory import prime_power_decompose, primes_below
-from .pairs import iter_pairs
+from .pairs import is_gcd_pair, iter_pairs
 
 ENV_MAX_EXACT = "GCDPAIRS_MAX_EXACT"
 
@@ -34,10 +31,17 @@ class SearchBounds:
 
     @classmethod
     def from_env(cls) -> "SearchBounds":
+        """Both bounds from GCDPAIRS_MAX_EXACT; ValueError unless it is an
+        integer >= 1."""
         raw = os.environ.get(ENV_MAX_EXACT)
         if raw is None:
             return cls()
-        limit = int(raw)
+        try:
+            limit = int(raw)
+        except ValueError:
+            limit = 0
+        if limit < 1:
+            raise ValueError(f"{ENV_MAX_EXACT} must be an integer >= 1, got {raw!r}")
         return cls(clique_exact=limit, chromatic_exact=limit)
 
 
@@ -50,12 +54,22 @@ class ExactSearchBoundError(ValueError):
 
 @dataclass(frozen=True)
 class GcdGraph:
+    """G_n: bit b of adjacency[a] is set exactly when {a, b} is a simple edge."""
+
     n: int
-    simple_edges: frozenset[tuple[int, int]]
+    adjacency: tuple[int, ...]
     loops: frozenset[int]
 
+    @property
+    def simple_edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.sorted_edges())
+
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.simple_edges)
+        """Edges (a, b) with a < b, lexicographic: each row's bits above a."""
+        return [(a, b) for a, row in enumerate(self.adjacency) for b in _bits(row & _above(a))]
+
+    def edge_count(self) -> int:
+        return sum(row.bit_count() for row in self.adjacency) // 2
 
     def to_json_dict(self, invariants: dict | None = None) -> dict:
         return {
@@ -67,9 +81,22 @@ class GcdGraph:
         }
 
 
+def _from_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> GcdGraph:
+    """Adjacency masks and loops from (a, b) pairs; a pair with a == b is a loop."""
+    rows = [0] * n
+    loops = set()
+    for a, b in pairs:
+        if a == b:
+            loops.add(a)
+        else:
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+    return GcdGraph(n=n, adjacency=tuple(rows), loops=frozenset(loops))
+
+
 def graph_from_json_dict(payload: dict) -> GcdGraph:
-    edges = frozenset((int(a), int(b)) for a, b in payload["edges"])
-    return GcdGraph(n=int(payload["n"]), simple_edges=edges, loops=frozenset(payload["loops"]))
+    edges = [(int(a), int(b)) for a, b in payload["edges"]]
+    return _from_pairs(int(payload["n"]), edges + [(int(a), int(a)) for a in payload["loops"]])
 
 
 @dataclass(frozen=True)
@@ -115,35 +142,22 @@ def build(n: int) -> GcdGraph:
     with itself."""
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
-    edges = set()
-    loops = set()
-    for a, b in iter_pairs(n):
-        if a == b:
-            loops.add(a)
-        else:
-            edges.add((a, b))
-    return GcdGraph(n=n, simple_edges=frozenset(edges), loops=frozenset(loops))
+    return _from_pairs(n, iter_pairs(n))
 
 
-@lru_cache(maxsize=256)
-def _adjacency(g: GcdGraph) -> tuple[frozenset[int], ...]:
-    adj: list[set[int]] = [set() for _ in range(g.n)]
-    for a, b in g.simple_edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    return tuple(frozenset(s) for s in adj)
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        out.append(bit.bit_length() - 1)
+    return out
 
 
-def _adjacency_masks(g: GcdGraph) -> list[int]:
-    masks = [0] * g.n
-    for a, b in g.simple_edges:
-        masks[a] |= 1 << b
-        masks[b] |= 1 << a
-    return masks
-
-
-def _has_edge(g: GcdGraph, a: int, b: int) -> bool:
-    return (a, b) in g.simple_edges if a < b else (b, a) in g.simple_edges
+def _above(v: int) -> int:
+    """Mask of every vertex above v (an infinite run of ones, for `&` only)."""
+    return -1 << (v + 1)
 
 
 def _validate_path(g: GcdGraph, witness: PathWitness) -> PathWitness:
@@ -151,40 +165,35 @@ def _validate_path(g: GcdGraph, witness: PathWitness) -> PathWitness:
     if len(set(vs)) != len(vs):
         raise AssertionError(f"repeated vertex in path {vs}")
     for u, v in zip(vs, vs[1:]):
-        if not _has_edge(g, u, v):
+        if not g.adjacency[u] >> v & 1:
             raise AssertionError(f"missing edge {{{u},{v}}} in G_{g.n}")
     if witness.closed:
         if len(vs) < 3:
             raise AssertionError(f"cycle needs >= 3 vertices, got {vs}")
-        if not _has_edge(g, vs[-1], vs[0]):
+        if not g.adjacency[vs[-1]] >> vs[0] & 1:
             raise AssertionError(f"missing closing edge {{{vs[-1]},{vs[0]}}} in G_{g.n}")
     return witness
 
 
 def is_connected(g: GcdGraph) -> bool:
-    if g.n == 1:
-        return True
-    adj = _adjacency(g)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == g.n
+    seen = frontier = 1  # vertex 0
+    while frontier:
+        reach = 0
+        for v in _bits(frontier):
+            reach |= g.adjacency[v]
+        frontier = reach & ~seen
+        seen |= frontier
+    return seen == (1 << g.n) - 1
 
 
 def star_subgraph(g: GcdGraph) -> StarWitness:
     """Maximal star centered at 1: {1, a} is an edge for every other a."""
     if g.n < 2:
         raise ValueError(f"star_subgraph requires n >= 2, got {g.n}")
-    leaves = frozenset(range(g.n)) - {1}
-    for a in leaves:
-        if not _has_edge(g, 1, a):
-            raise AssertionError(f"missing star edge {{1,{a}}} in G_{g.n}")
-    return StarWitness(center=1, leaves=leaves)
+    missing = ((1 << g.n) - 1) & ~(g.adjacency[1] | 0b10)
+    if missing:
+        raise AssertionError(f"missing star edge {{1,{_bits(missing)[0]}}} in G_{g.n}")
+    return StarWitness(center=1, leaves=frozenset(range(g.n)) - {1})
 
 
 def embedding_check(m: int, n: int) -> tuple[bool, list[tuple[int, int]]]:
@@ -192,32 +201,20 @@ def embedding_check(m: int, n: int) -> tuple[bool, list[tuple[int, int]]]:
     if m < 1 or n % m != 0:
         raise ValueError(f"{m} does not divide {n}")
     g_small, g_big = build(m), build(n)
-    missing = [e for e in g_small.sorted_edges() if e not in g_big.simple_edges]
+    missing = [(a, b) for a, b in g_small.sorted_edges() if not g_big.adjacency[a] >> b & 1]
     missing += [(a, a) for a in sorted(g_small.loops) if a not in g_big.loops]
     return (not missing, missing)
 
 
 def domination_number(g: GcdGraph) -> tuple[int, frozenset[int]]:
-    """Exact domination number with witness.
-
-    Vertex 1 neighbors everything, so {1} always dominates and is returned
-    first (the distinguished construction); the generic ascending search below
-    only runs if that construction ever failed.
-    """
+    """Exact domination number with witness: vertex 1 neighbors everything, so
+    {1} dominates and the number is 1. oracle.exhaustive_domination is the
+    independent search."""
     if g.n < 2:
         raise ValueError(f"domination_number requires n >= 2, got {g.n}")
-    adj = _adjacency(g)
-    if adj[1] | {1} == set(range(g.n)):
-        return (1, frozenset({1}))
-    everyone = set(range(g.n))
-    for size in range(1, g.n + 1):
-        for subset in itertools.combinations(range(g.n), size):
-            covered = set(subset)
-            for v in subset:
-                covered |= adj[v]
-            if covered == everyone:
-                return (size, frozenset(subset))
-    raise AssertionError("unreachable: the full vertex set dominates")
+    if g.adjacency[1] | 0b10 != (1 << g.n) - 1:
+        raise AssertionError(f"{{1}} does not dominate G_{g.n}")
+    return (1, frozenset({1}))
 
 
 def has_triangle(g: GcdGraph) -> PathWitness | None:
@@ -225,14 +222,12 @@ def has_triangle(g: GcdGraph) -> PathWitness | None:
     residues are coprime); otherwise an exhaustive lexicographic scan."""
     if g.n >= 4:
         return _validate_path(g, PathWitness(vertices=(1, 2, 3), closed=True))
-    adj = _adjacency(g)
+    adj = g.adjacency
     for a in range(g.n):
-        for b in sorted(adj[a]):
-            if b <= a:
-                continue
-            for c in sorted(adj[a] & adj[b]):
-                if c > b:
-                    return PathWitness(vertices=(a, b, c), closed=True)
+        for b in _bits(adj[a] & _above(a)):
+            common = adj[a] & adj[b] & _above(b)
+            if common:
+                return PathWitness(vertices=(a, b, _bits(common)[0]), closed=True)
     return None
 
 
@@ -256,12 +251,10 @@ def hamiltonian_cycle(g: GcdGraph) -> HamiltonicityResult:
     if n % 2 == 0:
         cycle = PathWitness(vertices=(0,) + tuple(range(2, n)) + (1,), closed=True)
         return HamiltonicityResult(cycle=_validate_path(g, cycle), obstruction=None)
-    evens = frozenset(range(0, n, 2))
-    adj = _adjacency(g)
-    for v in evens:
-        if adj[v] & evens:
-            raise AssertionError(f"even residues not independent in G_{n}")
-    return HamiltonicityResult(cycle=None, obstruction=evens)
+    evens = sum(1 << v for v in range(0, n, 2))
+    if any(g.adjacency[v] & evens for v in range(0, n, 2)):
+        raise AssertionError(f"even residues not independent in G_{n}")
+    return HamiltonicityResult(cycle=None, obstruction=frozenset(range(0, n, 2)))
 
 
 def longest_cycle_constructive(g: GcdGraph) -> PathWitness:
@@ -272,30 +265,10 @@ def longest_cycle_constructive(g: GcdGraph) -> PathWitness:
     return _validate_path(g, PathWitness(vertices=tuple(range(1, g.n)), closed=True))
 
 
-def _greedy_color_count(adjmask: list[int], order: list[int]) -> int:
-    classes: list[int] = []  # one occupancy mask per color class
-    for v in order:
-        for i, mask in enumerate(classes):
-            if not adjmask[v] & mask:
-                classes[i] |= 1 << v
-                break
-        else:
-            classes.append(1 << v)
-    return len(classes)
-
-
-def _mask_to_list(mask: int) -> list[int]:
-    out = []
-    while mask:
-        bit = mask & -mask
-        mask ^= bit
-        out.append(bit.bit_length() - 1)
-    return out
-
-
-def _clique_over(adjmask: list[int], cand: int, stop_at: int | None = None) -> int:
+def _clique_over(g: GcdGraph, cand: int, stop_at: int | None = None) -> int:
     """Largest clique size within the candidate mask, branch and bound with a
     greedy-coloring upper bound. Stops early once `stop_at` is reached."""
+    adj = g.adjacency
     best = 0
 
     def bb(size: int, cand: int) -> None:
@@ -306,15 +279,15 @@ def _clique_over(adjmask: list[int], cand: int, stop_at: int | None = None) -> i
             return
         if not cand:
             return
-        verts = _mask_to_list(cand)
-        if size + _greedy_color_count(adjmask, verts) <= best:
+        verts = _bits(cand)
+        if size + greedy_coloring(g, verts).color_count <= best:
             return
         rest = cand
         for v in verts:
             rest &= ~(1 << v)
-            if size + 1 + bin(rest & adjmask[v]).count("1") <= best:
+            if size + 1 + (rest & adj[v]).bit_count() <= best:
                 continue
-            bb(size + 1, adjmask[v] & rest)
+            bb(size + 1, adj[v] & rest)
             if stop_at is not None and best >= stop_at:
                 return
 
@@ -329,16 +302,15 @@ def max_clique(g: GcdGraph, bounds: SearchBounds = DEFAULT_BOUNDS) -> CliqueWitn
         raise ExactSearchBoundError(
             f"max_clique bounded at n <= {bounds.clique_exact}, got {g.n}"
         )
-    adjmask = _adjacency_masks(g)
     everyone = (1 << g.n) - 1
-    omega = _clique_over(adjmask, everyone)
+    omega = _clique_over(g, everyone)
     chosen: list[int] = []
     cand = everyone
     while len(chosen) < omega:
         needed = omega - len(chosen) - 1
-        for v in _mask_to_list(cand):
-            tail = adjmask[v] & cand & ~((1 << (v + 1)) - 1)
-            if _clique_over(adjmask, tail, stop_at=needed) >= needed:
+        for v in _bits(cand):
+            tail = g.adjacency[v] & cand & _above(v)
+            if _clique_over(g, tail, stop_at=needed) >= needed:
                 chosen.append(v)
                 cand = tail
                 break
@@ -347,31 +319,9 @@ def max_clique(g: GcdGraph, bounds: SearchBounds = DEFAULT_BOUNDS) -> CliqueWitn
     return CliqueWitness(vertices=frozenset(chosen), maximal=True, maximum=True)
 
 
-def _is_clique_in_ring(n: int, vertices: list[int]) -> bool:
-    for i, a in enumerate(vertices):
-        for b in vertices[i + 1 :]:
-            g = gcd(a, b)
-            if g == 0 or n % g != 0:
-                return False
-    return True
-
-
-def _extension_candidates(n: int, vertices: set[int]) -> list[int]:
-    out = []
-    for v in range(n):
-        if v in vertices:
-            continue
-        ok = True
-        for u in vertices:
-            if u == v:
-                continue
-            g = gcd(u, v)
-            if g == 0 or n % g != 0:
-                ok = False
-                break
-        if ok:
-            out.append(v)
-    return out
+def _joins_all(n: int, v: int, vertices: Iterable[int]) -> bool:
+    """Is {u, v} a gcd-pair of Z_n for every other u in vertices?"""
+    return all(is_gcd_pair(n, u, v) for u in vertices if u != v)
 
 
 def clique_construction(n: int) -> CliqueWitness:
@@ -407,29 +357,31 @@ def clique_construction(n: int) -> CliqueWitness:
             else:
                 vertices = {1, *primes}
                 for v in range(n):  # greedy lexicographic extension to maximality
-                    if v not in vertices and all(
-                        (g := gcd(u, v)) > 0 and n % g == 0 for u in vertices
-                    ):
+                    if v not in vertices and _joins_all(n, v, vertices):
                         vertices.add(v)
     ordered = sorted(vertices)
-    if not _is_clique_in_ring(n, ordered):
+    if not all(_joins_all(n, v, ordered[:i]) for i, v in enumerate(ordered)):
         raise AssertionError(f"construction for n={n} is not pairwise adjacent: {ordered}")
-    maximal = not _extension_candidates(n, set(vertices))
+    maximal = not any(_joins_all(n, v, vertices) for v in range(n) if v not in vertices)
     return CliqueWitness(vertices=frozenset(vertices), maximal=maximal, maximum=False)
 
 
-def greedy_coloring(g: GcdGraph) -> ColoringWitness:
-    """Upper bound: first-fit in natural vertex order; tagged non-exact."""
-    adj = _adjacency(g)
+def greedy_coloring(g: GcdGraph, order: Iterable[int] | None = None) -> ColoringWitness:
+    """Upper bound: first-fit over `order` (default: every vertex in natural
+    order); tagged non-exact."""
+    classes: list[int] = []  # one member mask per color class
     colors: dict[int, int] = {}
-    for v in range(g.n):
-        taken = {colors[u] for u in adj[v] if u in colors}
-        c = 0
-        while c in taken:
-            c += 1
+    for v in range(g.n) if order is None else order:
+        row = g.adjacency[v]
+        for c, members in enumerate(classes):
+            if not row & members:
+                classes[c] = members | 1 << v
+                break
+        else:
+            c = len(classes)
+            classes.append(1 << v)
         colors[v] = c
-    count = (max(colors.values()) + 1) if colors else 0
-    return ColoringWitness(colors=colors, color_count=count, exact=False)
+    return ColoringWitness(colors=colors, color_count=len(classes), exact=False)
 
 
 def chromatic_number(g: GcdGraph, bounds: SearchBounds = DEFAULT_BOUNDS) -> ColoringWitness:
@@ -441,28 +393,28 @@ def chromatic_number(g: GcdGraph, bounds: SearchBounds = DEFAULT_BOUNDS) -> Colo
         )
     if g.n == 0:
         return ColoringWitness(colors={}, color_count=0, exact=True)
-    adj = _adjacency(g)
-    adjmask = _adjacency_masks(g)
-    lower = _clique_over(adjmask, (1 << g.n) - 1)
+    adj = g.adjacency
+    lower = _clique_over(g, (1 << g.n) - 1)
     greedy = greedy_coloring(g)
     if greedy.color_count <= lower:
         return ColoringWitness(colors=_canonical_colors(greedy.colors, g.n),
                                color_count=greedy.color_count, exact=True)
-    order = sorted(range(g.n), key=lambda v: (-len(adj[v]), v))
+    order = sorted(range(g.n), key=lambda v: (-adj[v].bit_count(), v))
     for k in range(lower, greedy.color_count):
         assignment: dict[int, int] = {}
+        classes = [0] * k  # member mask per color; c is free for v when it misses adj[v]
 
         def place(i: int, used: int) -> bool:
             if i == g.n:
                 return True
             v = order[i]
-            taken = {assignment[u] for u in adj[v] if u in assignment}
             for c in range(min(used + 1, k)):
-                if c not in taken:
+                if not classes[c] & adj[v]:
+                    classes[c] |= 1 << v
                     assignment[v] = c
                     if place(i + 1, max(used, c + 1)):
                         return True
-                    del assignment[v]
+                    classes[c] ^= 1 << v
             return False
 
         if place(0, 0):
@@ -486,9 +438,11 @@ def _canonical_colors(colors: dict[int, int], n: int) -> dict[int, int]:
 
 def is_planar(g: GcdGraph) -> bool:
     """Exact planarity of the simple-edge graph (loops are irrelevant)."""
+    import networkx as nx  # only planarity needs it, and it is slow to import
+
     graph = nx.Graph()
     graph.add_nodes_from(range(g.n))
-    graph.add_edges_from(g.simple_edges)
+    graph.add_edges_from(g.sorted_edges())
     planar, _ = nx.check_planarity(graph)
     return planar
 

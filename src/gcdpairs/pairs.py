@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .numtheory import (
     PrimePower,
@@ -94,12 +94,6 @@ class ZeroDivisorPartition:
     n: int
     cells: dict[int, frozenset[int]]
 
-    def union(self) -> frozenset[int]:
-        out: set[int] = set()
-        for cell in self.cells.values():
-            out |= cell
-        return frozenset(out)
-
 
 class CountKind(enum.Enum):
     EXACT = "exact"
@@ -134,8 +128,9 @@ def is_gcd_pair(n: int, x: int, y: int) -> bool:
     return g > 0 and n % g == 0
 
 
-def iter_pairs(n: int) -> Iterator[tuple[int, int]]:
-    """All gcd-pairs of Z_n in lexicographic order, streamed.
+def iter_rows(n: int) -> Iterator[tuple[int, Sequence[int]]]:
+    """Row a of the gcd-pairs of Z_n, for every a < n: (a, the ascending b >= a
+    that pair with a).
 
     Fast path: when a | n every pair {a, b} with a <= b < n qualifies
     (gcd(a, b) divides a divides n), so the whole row is emitted with no gcd
@@ -143,17 +138,19 @@ def iter_pairs(n: int) -> Iterator[tuple[int, int]]:
     """
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
-    for b in range(1, n):
-        if n % b == 0:
-            yield (0, b)
+    yield 0, [b for b in range(1, n) if n % b == 0]
     for a in range(1, n):
         if n % a == 0:
-            for b in range(a, n):
-                yield (a, b)
+            yield a, range(a, n)
         else:
-            for b in range(a, n):
-                if n % gcd(a, b) == 0:
-                    yield (a, b)
+            yield a, [b for b in range(a, n) if n % gcd(a, b) == 0]
+
+
+def iter_pairs(n: int) -> Iterator[tuple[int, int]]:
+    """All gcd-pairs of Z_n in lexicographic order, streamed."""
+    for a, row in iter_rows(n):
+        for b in row:
+            yield (a, b)
 
 
 def enumerate_pairs(n: int) -> PairSet:

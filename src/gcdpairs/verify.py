@@ -339,7 +339,8 @@ def _claim_embedding(limit: int, bounds: SearchBounds) -> tuple[str, Status, str
             if m == n:
                 continue
             gm = build(m)
-            if not gm.simple_edges <= gn.simple_edges or not gm.loops <= gn.loops:
+            lost = any(gm.adjacency[v] & ~gn.adjacency[v] for v in range(m))
+            if lost or not gm.loops <= gn.loops:
                 return (f"m|n <= {limit}", Status.FAIL, f"G_{m} does not embed in G_{n}")
             checked += 1
     return (f"m|n <= {limit}", Status.PASS, f"{checked} divisor embeddings verified")
@@ -539,7 +540,7 @@ def _claim_planarity(limit: int, bounds: SearchBounds) -> tuple[str, Status, str
         planar = is_planar(g)
         if planar != (n <= 7 and n != 6):
             return (f"n <= {limit}", Status.FAIL, f"planarity wrong at n={n}")
-        edges = len(g.simple_edges)
+        edges = g.edge_count()
         if n >= 3 and edges > 3 * n - 6 and planar:
             return (f"n <= {limit}", Status.FAIL, f"planar verdict violates edge bound at n={n}")
         if _has_k5(n) and planar:

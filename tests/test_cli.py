@@ -1,8 +1,15 @@
 """CLI behavior: output goldens, exit codes, JSON schemas, determinism."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from gcdpairs.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 NU_6_LINES = [
     "{0,1}", "{0,2}", "{0,3}", "{1,1}", "{1,2}", "{1,3}", "{1,4}", "{1,5}",
@@ -245,3 +252,71 @@ def test_list_30_count_matches_library(capsys):
 
     _, out, _ = run(capsys, "list", "30")
     assert out.splitlines()[-1] == f"The number of gcd-pairs is {len(enumerate_pairs(30))}"
+
+
+# stdout sha256 of `gcdpairs graph ...`, recorded from the earlier edge-set
+# representation: the edges walked out of the adjacency masks keep its bytes.
+GRAPH_DIGESTS = {
+    ("1", "--json"): "c720063834ce2701651bf873bc59e61bb131fb09e8543701a163df1e33c940b5",
+    ("1", "--dot", "-"): "d83144ae6a414865ad854071dc3086d11a91b39ff792ef59207927e3ecd2b5cc",
+    ("1", "--analyze", "--json"): "a92418f2b5eb2c6cdd4083571e4647e95fe0b98e67c60b9ff9025d9dccb43710",
+    ("2", "--json"): "bdc970fa0880e7541db97c11fb3eda7171dd96aece9cba677fc668fef334790d",
+    ("2", "--dot", "-"): "23c17333a7a1e3c1cf9bbe42af9ab939dd68bab89b72c11fc78c08a075517ab3",
+    ("2", "--analyze", "--json"): "5bce9ff6e0c954fa3bef7731e3e21d59c024b329c1d9925e2857cb5c86b2dde2",
+    ("12", "--json"): "06e542adfbf954eb4392ad98f0dd2f2c92e66a163fd5316b4ce233fafbf8c97f",
+    ("12", "--dot", "-"): "e6d1db5f67490f185862b3f201adc3865e1179bed0429f5c8466441e9c7e36dd",
+    ("12", "--analyze", "--json"): "80ca9482afe1b791f6b90ce4266f5facec2e9798ff06904644c0afc1a99c4995",
+    ("30", "--json"): "8962d58cff2ded41605b441e3f539b9dde765a21043a72cbdfe561220347c786",
+    ("30", "--dot", "-"): "08f843b4d60a388bece31deaed529a323889d6c6d433dc241aead0de1e072b25",
+    ("30", "--analyze", "--json"): "995130a661beb9624f336e8010c2671a79c1760a6ceb7b0336c3359d14cb805a",
+}
+
+
+def test_graph_output_digests(capsys):
+    for argv, digest in GRAPH_DIGESTS.items():
+        code, out, _ = run(capsys, "graph", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_bad_max_exact_is_a_usage_error(monkeypatch, capsys):
+    for raw in ("abc", "0", "-3"):
+        monkeypatch.setenv("GCDPAIRS_MAX_EXACT", raw)
+        for argv in (("graph", "6", "--analyze"), ("verify", "--claims", "errata")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "", (raw, argv)
+            assert err.count("\n") == 1 and f"GCDPAIRS_MAX_EXACT must be an integer >= 1, got {raw!r}" in err
+        code, _, _ = run(capsys, "graph", "6")  # the bounds are read only under --analyze
+        assert code == 0
+
+
+def test_verify_rejects_a_range_that_checks_nothing(capsys):
+    for max_n in ("1", "-5"):
+        code, out, err = run(capsys, "verify", "--max-n", max_n)
+        assert code == 2 and out == ""
+        assert err == f"gcdpairs verify: --max-n must be >= 2, got {max_n}\n"
+
+
+def _subprocess_env() -> dict:
+    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+
+
+def test_closed_pipe_exits_2_without_traceback():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gcdpairs", "list", "3000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_subprocess_env(),
+    )
+    assert proc.stdout.readline() == b"{0,1}\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 2
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err == "gcdpairs list: output pipe closed\n"
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    check = "import sys, gcdpairs.cli; assert 'networkx' not in sys.modules"
+    subprocess.run([sys.executable, "-c", check], env=_subprocess_env(), check=True)

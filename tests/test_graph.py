@@ -1,11 +1,14 @@
 """Graph construction and exact invariants against the documented results."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcdpairs.graph import (
     ExactSearchBoundError,
+    GcdGraph,
     SearchBounds,
     analyze,
     build,
@@ -26,7 +29,7 @@ from gcdpairs.graph import (
     star_subgraph,
 )
 from gcdpairs.numtheory import divisors, primes_below
-from gcdpairs.pairs import enumerate_pairs
+from gcdpairs.pairs import enumerate_pairs, is_gcd_pair
 
 
 def test_build_g5_matches_figure():
@@ -51,6 +54,17 @@ def test_build_matches_pair_set(n):
     assert {(a, b) for a, b in g.simple_edges} == {(a, b) for a, b in pairs if a != b}
     assert g.loops == {a for a, b in pairs if a == b}
     assert g.loops == {a for a in range(1, n) if n % a == 0}
+    assert all(
+        g.adjacency[a] >> b & 1 == is_gcd_pair(n, a, b)
+        for a in range(n) for b in range(n) if a != b
+    )
+
+
+def test_graph_stores_masks_and_counts_edges():
+    assert [f.name for f in dataclasses.fields(GcdGraph)] == ["n", "adjacency", "loops"]
+    for n in range(1, 61):
+        g = build(n)
+        assert g.edge_count() == len(g.simple_edges)
 
 
 @given(st.integers(1, 200))
