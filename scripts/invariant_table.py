@@ -7,8 +7,10 @@ Example:
 
 import argparse
 
+import numpy as np
+
 from gcdpairs.graph import SearchBounds, analyze, build
-from gcdpairs.pairs import classify_elements, enumerate_pairs, restrict
+from gcdpairs.pairs import classify_elements, count_pairs
 
 
 def main() -> None:
@@ -22,14 +24,15 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     for n in range(max(args.start, 2), args.stop + 1):
-        ps = enumerate_pairs(n)
-        zd = restrict(ps, classify_elements(n).zero_divisors)
+        zero_divisors = np.zeros(n, dtype=bool)
+        zero_divisors[list(classify_elements(n).zero_divisors)] = True
+        pairs, zd_pairs = count_pairs(n, zero_divisors)
         g = build(n)
         invariants, _ = analyze(g, bounds)
         omega = invariants["clique_number"]
         chi = invariants["chromatic_number"]
         print(
-            f"{n:>4} {len(ps):>7} {len(zd):>8} {len(g.simple_edges):>6} "
+            f"{n:>4} {pairs:>7} {zd_pairs:>8} {g.edge_count():>6} "
             f"{'-' if omega is None else omega:>5} {'-' if chi is None else chi:>4} "
             f"{'yes' if invariants['hamiltonian'] else 'no':>4} "
             f"{'yes' if invariants['planar'] else 'no':>6}"

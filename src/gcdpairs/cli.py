@@ -12,6 +12,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import oracle
 from .graph import SearchBounds, analyze, build, export_dot
 from .numtheory import is_prime, prime_power_decompose
@@ -20,11 +22,11 @@ from .pairs import (
     canonical_residue,
     classify_elements,
     composite_lower_bound,
+    count_pairs,
     count_prime_power_formula,
     count_zero_divisor_closed,
     enumerate_pairs,
     is_gcd_pair,
-    iter_pairs,
     iter_rows,
     restrict,
 )
@@ -189,13 +191,10 @@ def cmd_count(args: argparse.Namespace) -> int:
     enumerated: dict[str, int] | None = None
     formulas: tuple[CountResult | None, CountResult | None] | None = None
     if args.method in ("enumerate", "both"):
-        zero_divisors = classify_elements(n).zero_divisors if n >= 2 else frozenset()
-        total = 0
-        among_zero = 0
-        for a, b in iter_pairs(n):
-            total += 1
-            if a in zero_divisors and b in zero_divisors:
-                among_zero += 1
+        zero_divisors = np.zeros(n, dtype=bool)
+        if n >= 2:
+            zero_divisors[list(classify_elements(n).zero_divisors)] = True
+        total, among_zero = count_pairs(n, zero_divisors)
         enumerated = {"total": total, "zero_divisors": among_zero}
     if args.method in ("formula", "both"):
         formulas = _formula_counts(n)

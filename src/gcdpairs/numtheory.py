@@ -72,17 +72,15 @@ def euler_phi(m: int) -> int:
 
 
 def phi_partial_sum(limit: int) -> int:
-    """Summatory totient: sum of euler_phi(j) for 1 <= j <= limit (0 for limit <= 0)."""
+    """Summatory totient: sum of phi(j) for 1 <= j <= limit (0 for limit = 0)."""
     if limit < 0:
         raise ValueError(f"phi_partial_sum requires limit >= 0, got {limit}")
-    return sum(euler_phi(j) for j in range(1, limit + 1))
+    return sum(phi_sieve(limit))
 
 
 def phi_sieve(limit: int) -> list[int]:
-    """phi values for 0..limit in one sieve pass; the verify harness's bulk path.
-
-    Must agree with euler_phi everywhere (tested).
-    """
+    """phi(0..limit) in one sieve pass, with phi(0) = 0; every totient sum uses
+    it. Must agree with euler_phi everywhere (tested)."""
     phi = list(range(limit + 1))
     for p in range(2, limit + 1):
         if phi[p] == p:  # p untouched so far, hence prime

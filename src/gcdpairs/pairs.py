@@ -11,14 +11,18 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import accumulate
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .numtheory import (
     PrimePower,
     is_prime,
     nontrivial_divisors,
     phi_partial_sum,
+    phi_sieve,
     prime_power_decompose,
 )
 
@@ -128,22 +132,34 @@ def is_gcd_pair(n: int, x: int, y: int) -> bool:
     return g > 0 and n % g == 0
 
 
-def iter_rows(n: int) -> Iterator[tuple[int, Sequence[int]]]:
-    """Row a of the gcd-pairs of Z_n, for every a < n: (a, the ascending b >= a
-    that pair with a).
-
-    Fast path: when a | n every pair {a, b} with a <= b < n qualifies
-    (gcd(a, b) divides a divides n), so the whole row is emitted with no gcd
-    computation. The a = 0 row pairs 0 with exactly the divisors of n.
-    """
+def row_masks(n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(a, mask) for every a < n: mask[i] is true exactly when {a, a + i} is a
+    gcd-pair. A row with a | n is all true and needs no gcd (gcd(a, b) | a | n);
+    the a = 0 row marks the divisors of n."""
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
-    yield 0, [b for b in range(1, n) if n % b == 0]
+    ar = np.arange(n)
+    yield 0, np.concatenate(([False], n % ar[1:] == 0))
     for a in range(1, n):
-        if n % a == 0:
-            yield a, range(a, n)
-        else:
-            yield a, [b for b in range(a, n) if n % gcd(a, b) == 0]
+        yield a, np.ones(n - a, dtype=bool) if n % a == 0 else n % np.gcd(ar[a:], a) == 0
+
+
+def iter_rows(n: int) -> Iterator[tuple[int, Sequence[int]]]:
+    """Row a of the gcd-pairs of Z_n, for every a < n: (a, the ascending b >= a
+    that pair with a), read off row_masks; divisor rows are plain ranges."""
+    for a, mask in row_masks(n):
+        yield a, range(a, n) if a and n % a == 0 else (np.flatnonzero(mask) + a).tolist()
+
+
+def count_pairs(n: int, within: np.ndarray) -> tuple[int, int]:
+    """(number of gcd-pairs of Z_n, number of those with both ends flagged in
+    the length-n bool array `within`), counted on row_masks; no pair is built."""
+    total = inside = 0
+    for a, mask in row_masks(n):
+        total += int(np.count_nonzero(mask))
+        if within[a]:
+            inside += int(np.count_nonzero(mask & within[a:]))
+    return total, inside
 
 
 def iter_pairs(n: int) -> Iterator[tuple[int, int]]:
@@ -195,9 +211,8 @@ def zero_divisor_partition(n: int) -> ZeroDivisorPartition:
 
 def count_prime_power_formula(pp: PrimePower) -> CountResult:
     """|full pair set of Z_{p^k}| = k + sum_{i=1..k} sum_{j=1..p^i - 1} phi(j)."""
-    total = pp.k
-    for i in range(1, pp.k + 1):
-        total += phi_partial_sum(pp.p**i - 1)
+    phi_sums = list(accumulate(phi_sieve(pp.value - 1)))  # phi_sums[x] = sum phi(1..x)
+    total = pp.k + sum(phi_sums[pp.p**i - 1] for i in range(1, pp.k + 1))
     return CountResult(total, CountKind.EXACT, "prime-power-formula")
 
 
@@ -239,8 +254,7 @@ def divisor_cell_sum_bound(n: int) -> CountResult:
         m = n // d
         if m < 2:
             continue  # the d = n cell is empty and Z_1 has no pairs
-        units = classify_elements(m).units
-        total += len(restrict(enumerate_pairs(m), units, label="units"))
+        total += count_pairs(m, np.gcd(np.arange(m), m) == 1)[1]  # unit flags of Z_m
     return CountResult(total, CountKind.LOWER_BOUND, "divisor-cell-sum")
 
 

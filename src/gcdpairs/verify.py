@@ -457,9 +457,12 @@ def _observed_omega(n: int, bounds: SearchBounds) -> int:
 
 
 def _claim_clique_two_prime(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
+    tested = [v for v in _TWO_PRIME_PRODUCTS if v <= limit]
+    if not tested:
+        return ("n in []", Status.NOTED, f"no two-prime product n <= {limit} in range")
     rows = []
     bad = False
-    for n in [v for v in _TWO_PRIME_PRODUCTS if v <= limit]:
+    for n in tested:
         p, q, m, k = _two_prime_parameters(n)
         claimed = m + k + 2
         claimed_set = sorted({1, *primes_below(n), *(p**j for j in range(2, k + 1))})
@@ -479,7 +482,7 @@ def _claim_clique_two_prime(limit: int, bounds: SearchBounds) -> tuple[str, Stat
                 f"largest valid construction {constructed}, observed maximum {observed}"
             )
     status = Status.DISCREPANCY if bad else Status.PASS
-    return (f"n in {list(v for v in _TWO_PRIME_PRODUCTS if v <= limit)}", status, "; ".join(rows))
+    return (f"n in {tested}", status, "; ".join(rows))
 
 
 def _prime_power_clique_order(pp: PrimePower) -> int:
@@ -552,27 +555,29 @@ _SMALL_CHROMATIC = {2: 2, 3: 2, 4: 3, 5: 3, 6: 5, 7: 4}
 
 
 def _claim_chromatic_small(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
-    span = "2 <= n <= 7"
-    for n, expected in _SMALL_CHROMATIC.items():
-        if n > limit:
-            continue
+    span = f"2 <= n <= {limit}"
+    checked = {n: expected for n, expected in _SMALL_CHROMATIC.items() if n <= limit}
+    if not checked:
+        return (span, Status.NOTED, f"no n <= {limit} in range")
+    for n, expected in checked.items():
         g = build(n)
         exact = chromatic_number(g, bounds).color_count
         if exact != expected:
             return (span, Status.FAIL, f"chromatic {exact} != {expected} at n={n}")
         if oracle.exhaustive_chromatic(g) != expected:
             return (span, Status.FAIL, f"oracle chromatic differs at n={n}")
-    return (span, Status.PASS, "chromatic numbers 2,2,3,3,5,4 confirmed")
+    values = ",".join(map(str, checked.values()))
+    return (span, Status.PASS, f"chromatic numbers {values} confirmed")
 
 
 def _claim_chromatic_two_prime(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
+    cap = min(limit, bounds.chromatic_exact)
+    tested = [v for v in _TWO_PRIME_PRODUCTS if v <= cap]
+    if not tested:
+        return ("n in []", Status.NOTED, f"no two-prime product n <= {cap} in range")
     rows = []
     bad = False
-    tested = []
-    for n in _TWO_PRIME_PRODUCTS:
-        if n > min(limit, bounds.chromatic_exact):
-            continue
-        tested.append(n)
+    for n in tested:
         _, _, m, k = _two_prime_parameters(n)
         claimed = m + k + 2
         actual = chromatic_number(build(n), bounds).color_count

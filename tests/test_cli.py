@@ -279,6 +279,51 @@ def test_graph_output_digests(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
+# stdout sha256 of `gcdpairs count ...`, recorded when enumeration still
+# streamed pair tuples and every totient sum went through euler_phi.
+COUNT_DIGESTS = {
+    ("1",): "4d0046db56d9b1259b2ff7f6dbfbabaac96eea1971cd16e433ed62b421068a91",
+    ("2",): "fc84453f5eaacf3f68fededfcc3de26ab648e05b9dcd9d803d51c00a26adffb2",
+    ("12",): "2547bb543fdf77e7a9dde16ba32693cf26c1715c0b4c2b2773f21cf089bbed1c",
+    ("360",): "fdfc05d45f246008a9cea4e4022f0147712e3d18aacbfd5693af22f6fb23676d",
+    ("5000",): "57f98bc9f6bca0ed3b885cb79c7ad03df8163bda39567b4ed2d2bc3c5663baaa",
+    ("5000", "--json"): "643164efe44bc308be7a33d622a2ed376563c1523ba564e8480db869d33ce312",
+    ("262144", "--method", "formula"): "88c703584f3dcc7adc94d0dc2e12e29ee4a2930934b1967a48b593297c5876f5",
+}
+
+
+def test_count_output_digests(capsys):
+    for argv, digest in COUNT_DIGESTS.items():
+        code, out, _ = run(capsys, "count", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_count_formulas_use_no_trial_division():
+    from gcdpairs import cli, numtheory
+
+    numtheory.euler_phi.cache_clear()
+    cli._formula_counts(262144)
+    assert numtheory.euler_phi.cache_info().currsize == 0
+
+
+def test_verify_entries_that_check_nothing_are_noted(capsys):
+    code, out, _ = run(capsys, "verify", "--max-n", "3")
+    assert code == 0
+    lines = out.splitlines()
+    for claim in ("clique-two-prime-product", "chromatic-two-prime-bound"):
+        (line,) = [line for line in lines if f"] {claim} " in line]
+        assert line.startswith("[NOTED      ]"), line
+        assert line.endswith("n in []         no two-prime product n <= 3 in range"), line
+    (line,) = [line for line in lines if "] chromatic-small " in line]
+    assert line.startswith("[PASS       ]"), line
+    assert line.endswith("2 <= n <= 3     chromatic numbers 2,2 confirmed"), line
+    assert lines[-1] == "summary: 24 pass, 0 fail, 0 discrepancy, 5 noted"
+    _, out, _ = run(capsys, "verify", "--max-n", "3", "--claims", "two-prime", "--json")
+    entries = json.loads(out)["entries"]
+    assert [e["status"] for e in entries] == ["noted", "noted"]
+
+
 def test_bad_max_exact_is_a_usage_error(monkeypatch, capsys):
     for raw in ("abc", "0", "-3"):
         monkeypatch.setenv("GCDPAIRS_MAX_EXACT", raw)

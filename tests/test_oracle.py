@@ -1,10 +1,11 @@
 """Oracle self-checks and the central cross-validation against the fast paths."""
 
+import numpy as np
 import pytest
 
 from gcdpairs import oracle
 from gcdpairs.graph import build, chromatic_number, domination_number, max_clique
-from gcdpairs.pairs import enumerate_pairs
+from gcdpairs.pairs import classify_elements, count_pairs, enumerate_pairs, iter_rows
 
 
 def test_naive_enumerate_examples():
@@ -22,6 +23,19 @@ def test_fast_enumeration_equals_oracle_to_500():
     # the central cross-validation property: element-for-element equality
     for n in range(1, 501):
         assert enumerate_pairs(n).pairs == oracle.naive_enumerate(n).pairs, n
+
+
+def test_row_counts_and_rows_equal_euclid_oracle_to_150():
+    # naive_count shares np.gcd with the row masks, so the references here are
+    # the oracle's own Euclid loops
+    for n in range(1, 151):
+        reference = oracle.naive_enumerate(n).pairs
+        assert [(a, b) for a, row in iter_rows(n) for b in row] == list(reference), n
+        for subset in classify_elements(n)[1:] if n >= 2 else [frozenset()]:  # units, zero divisors
+            within = np.zeros(n, dtype=bool)
+            within[list(subset)] = True
+            expected = (len(reference), oracle.naive_restricted_count(n, subset))
+            assert count_pairs(n, within) == expected, (n, sorted(subset))
 
 
 def test_naive_restricted_count():

@@ -3,11 +3,13 @@ and the documented invariants."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gcdpairs.numtheory import PrimePower, is_prime, primes_below
+from gcdpairs import pairs
+from gcdpairs.numtheory import PrimePower, is_prime, nontrivial_divisors, phi_sieve, primes_below
 from gcdpairs.pairs import (
     CountKind,
     GcdPair,
@@ -302,3 +304,35 @@ def test_iter_pairs_streams_in_lexicographic_order():
         streamed = list(iter_pairs(n))
         assert streamed == sorted(streamed)
         assert tuple(streamed) == enumerate_pairs(n).pairs
+
+
+def test_divisor_cell_sum_bound_equals_restricted_enumeration_to_300():
+    unit_pairs = {
+        m: len(restrict(enumerate_pairs(m), classify_elements(m).units)) for m in range(2, 151)
+    }
+    for n in range(2, 301):
+        expected = sum(unit_pairs[n // d] for d in nontrivial_divisors(n) if n // d >= 2)
+        assert divisor_cell_sum_bound(n).value == expected, n
+
+
+def test_prime_power_formula_sieves_once(monkeypatch):
+    limits = []
+
+    def counted_sieve(limit):
+        limits.append(limit)
+        return phi_sieve(limit)
+
+    monkeypatch.setattr(pairs, "phi_sieve", counted_sieve)
+    for pp in (PrimePower(2, 18), PrimePower(3, 5), PrimePower(7, 1)):
+        limits.clear()
+        count_prime_power_formula(pp)
+        assert limits == [pp.value - 1], pp
+
+
+def test_row_masks_cover_rows_a_to_n():
+    for n in (1, 2, 12, 35):
+        masks = list(pairs.row_masks(n))
+        assert [a for a, _ in masks] == list(range(n))
+        for a, mask in masks:
+            assert mask.dtype == np.bool_ and len(mask) == n - a
+            assert mask.tolist() == [is_gcd_pair(n, a, b) for b in range(a, n)], (n, a)
