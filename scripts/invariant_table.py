@@ -7,10 +7,8 @@ Example:
 
 import argparse
 
-import numpy as np
-
 from gcdpairs.graph import SearchBounds, analyze, build
-from gcdpairs.pairs import classify_elements, count_pairs
+from gcdpairs.pairs import classify_elements, count_pairs, residue_mask
 
 
 def main() -> None:
@@ -24,8 +22,7 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     for n in range(max(args.start, 2), args.stop + 1):
-        zero_divisors = np.zeros(n, dtype=bool)
-        zero_divisors[list(classify_elements(n).zero_divisors)] = True
+        zero_divisors = residue_mask(n, classify_elements(n).zero_divisors)
         pairs, zd_pairs = count_pairs(n, zero_divisors)
         g = build(n)
         invariants, _ = analyze(g, bounds)

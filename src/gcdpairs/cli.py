@@ -12,23 +12,21 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import oracle
 from .graph import SearchBounds, analyze, build, export_dot
 from .numtheory import is_prime, prime_power_decompose
 from .pairs import (
     CountResult,
+    PairSet,
     canonical_residue,
     classify_elements,
     composite_lower_bound,
     count_pairs,
     count_prime_power_formula,
     count_zero_divisor_closed,
-    enumerate_pairs,
     is_gcd_pair,
     iter_rows,
-    restrict,
+    residue_mask,
 )
 from .verify import run_verification
 
@@ -121,18 +119,16 @@ def cmd_list(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"gcdpairs list: {exc}", file=sys.stderr)
         return 2
+    rows = iter_rows(args.n, None if subset is None else residue_mask(args.n, subset))
     if args.json:
-        ps = enumerate_pairs(args.n)
-        if subset is not None:
-            ps = restrict(ps, subset, label=label)
+        pairs = tuple((a, b) for a, row in rows for b in row)
+        ps = PairSet(n=args.n, pairs=pairs, label=label, subset=subset)
         print(json.dumps(ps.to_json_dict(), indent=2))
         return 0
     out = sys.stdout
     count = 0
     suffixes = [f"{b}}}\n" for b in range(args.n)]  # row a is "{a," + suffix, per b
-    for a, row in iter_rows(args.n):
-        if subset is not None:
-            row = [b for b in row if b in subset] if a in subset else []
+    for a, row in rows:
         if row:
             prefix = f"{{{a},"
             out.write(prefix + prefix.join([suffixes[b] for b in row]))
@@ -191,10 +187,8 @@ def cmd_count(args: argparse.Namespace) -> int:
     enumerated: dict[str, int] | None = None
     formulas: tuple[CountResult | None, CountResult | None] | None = None
     if args.method in ("enumerate", "both"):
-        zero_divisors = np.zeros(n, dtype=bool)
-        if n >= 2:
-            zero_divisors[list(classify_elements(n).zero_divisors)] = True
-        total, among_zero = count_pairs(n, zero_divisors)
+        zero_divisors = classify_elements(n).zero_divisors if n >= 2 else ()
+        total, among_zero = count_pairs(n, residue_mask(n, zero_divisors))
         enumerated = {"total": total, "zero_divisors": among_zero}
     if args.method in ("formula", "both"):
         formulas = _formula_counts(n)

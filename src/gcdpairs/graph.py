@@ -16,8 +16,10 @@ import os
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .numtheory import prime_power_decompose, primes_below
-from .pairs import is_gcd_pair, iter_pairs
+from .pairs import is_gcd_pair, row_masks
 
 ENV_MAX_EXACT = "GCDPAIRS_MAX_EXACT"
 
@@ -81,22 +83,23 @@ class GcdGraph:
         }
 
 
-def _from_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> GcdGraph:
-    """Adjacency masks and loops from (a, b) pairs; a pair with a == b is a loop."""
-    rows = [0] * n
-    loops = set()
-    for a, b in pairs:
-        if a == b:
-            loops.add(a)
-        else:
-            rows[a] |= 1 << b
-            rows[b] |= 1 << a
-    return GcdGraph(n=n, adjacency=tuple(rows), loops=frozenset(loops))
+def _from_matrix(pairs: np.ndarray) -> GcdGraph:
+    """G_n from an n x n bool matrix where cell (a, b) or (b, a) marks the pair
+    {a, b}: the diagonal holds the loops, the rest packs into the row masks."""
+    both = pairs | pairs.T
+    loops = frozenset(np.flatnonzero(both.diagonal()).tolist())
+    np.fill_diagonal(both, False)
+    packed = np.packbits(both, axis=1, bitorder="little")
+    adjacency = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+    return GcdGraph(n=len(pairs), adjacency=adjacency, loops=loops)
 
 
 def graph_from_json_dict(payload: dict) -> GcdGraph:
-    edges = [(int(a), int(b)) for a, b in payload["edges"]]
-    return _from_pairs(int(payload["n"]), edges + [(int(a), int(a)) for a in payload["loops"]])
+    n = int(payload["n"])
+    cells = [*payload["edges"], *([a, a] for a in payload["loops"])]  # a loop is the pair {a, a}
+    pairs = np.zeros((n, n), dtype=bool)
+    pairs[tuple(np.array(cells, dtype=np.intp).reshape(-1, 2).T)] = True
+    return _from_matrix(pairs)
 
 
 @dataclass(frozen=True)
@@ -142,7 +145,10 @@ def build(n: int) -> GcdGraph:
     with itself."""
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
-    return _from_pairs(n, iter_pairs(n))
+    pairs = np.zeros((n, n), dtype=bool)
+    for a, mask in row_masks(n):
+        pairs[a, a:] = mask
+    return _from_matrix(pairs)
 
 
 def _bits(mask: int) -> list[int]:
@@ -493,7 +499,7 @@ def analyze(g: GcdGraph, bounds: SearchBounds = DEFAULT_BOUNDS) -> tuple[dict, l
         "connected": is_connected(g),
         "gamma": domination_number(g)[0],
         "triangle": has_triangle(g) is not None,
-        "traceable": _validate_path(g, hamiltonian_path(g)) is not None,
+        "traceable": hamiltonian_path(g) is not None,
         "hamiltonian": hamiltonian_cycle(g).cycle is not None,
         "clique_number": clique_number,
         "chromatic_number": chromatic,

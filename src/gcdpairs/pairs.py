@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 from itertools import accumulate
 from math import gcd
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -40,12 +40,9 @@ class GcdPair:
             raise ValueError(f"modulus must be >= 1, got {self.n}")
         if not 0 <= self.a <= self.b < self.n:
             raise ValueError(f"need 0 <= a <= b < n, got a={self.a}, b={self.b}, n={self.n}")
-        g = gcd(self.a, self.b)
-        if g == 0 or self.n % g != 0:
+        if not is_gcd_pair(self.n, self.a, self.b):
+            g = gcd(self.a, self.b)
             raise ValueError(f"gcd({self.a},{self.b}) = {g} does not divide {self.n}")
-
-    def as_tuple(self) -> tuple[int, int]:
-        return (self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -66,9 +63,6 @@ class PairSet:
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(self.pairs)
-
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        return pair in set(self.pairs)
 
     def to_json_dict(self) -> dict:
         return {
@@ -144,11 +138,19 @@ def row_masks(n: int) -> Iterator[tuple[int, np.ndarray]]:
         yield a, np.ones(n - a, dtype=bool) if n % a == 0 else n % np.gcd(ar[a:], a) == 0
 
 
-def iter_rows(n: int) -> Iterator[tuple[int, Sequence[int]]]:
+def residue_mask(n: int, residues: Iterable[int]) -> np.ndarray:
+    """The length-n bool array flagging each of `residues` (all in [0, n))."""
+    return np.isin(np.arange(n), list(residues))
+
+
+def iter_rows(n: int, within: np.ndarray | None = None) -> Iterator[tuple[int, list[int]]]:
     """Row a of the gcd-pairs of Z_n, for every a < n: (a, the ascending b >= a
-    that pair with a), read off row_masks; divisor rows are plain ranges."""
+    that pair with a), read off row_masks. Given the length-n bool array
+    `within`, a row keeps only the pairs with both ends flagged."""
     for a, mask in row_masks(n):
-        yield a, range(a, n) if a and n % a == 0 else (np.flatnonzero(mask) + a).tolist()
+        if within is not None:
+            mask = mask & within[a:] & within[a]
+        yield a, (np.flatnonzero(mask) + a).tolist()
 
 
 def count_pairs(n: int, within: np.ndarray) -> tuple[int, int]:

@@ -89,10 +89,6 @@ class VerificationReport:
     def failures(self) -> list[ClaimResult]:
         return [e for e in self.entries if e.status is Status.FAIL]
 
-    @property
-    def discrepancies(self) -> list[ClaimResult]:
-        return [e for e in self.entries if e.status is Status.DISCREPANCY]
-
     def entry(self, claim_id: str) -> ClaimResult:
         for e in self.entries:
             if e.claim_id == claim_id:
@@ -190,7 +186,7 @@ def _claim_composite_bound(limit: int, bounds: SearchBounds) -> tuple[str, Statu
     running = 0
     checked = 0
     for n in range(2, limit + 1):
-        running += phi[n - 1] if n >= 2 else 0
+        running += phi[n - 1]
         if is_prime(n) or n < 4:
             continue
         checked += 1

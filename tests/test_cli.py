@@ -299,6 +299,29 @@ def test_count_output_digests(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
+# stdout sha256 of `gcdpairs list ...` with subsets and JSON, recorded when
+# subsets were filtered pair by pair and --json enumerated and restricted anew.
+LIST_DIGESTS = {
+    ("60", "--subset", "units"): "ba50e7555bfb9c2ccae9d3c251fdfa3f6e841ed7dd8b835e868153405f4e0653",
+    ("60", "--subset", "zero-divisors", "--json"):
+        "6be966b983de13138503f5b2b2cacd5441777ca5d61dcfe6accf16b8453ec139",
+    ("360", "--subset", "0,3,5,7,12,359"):
+        "dc15dde354c37159ce8f6d5b2cf3df1090b71cdd6d03a3afd49d0d7c4e025545",
+    ("30", "--json", "--subset", "4,2"):
+        "99324946d04d5dabf3b1aee4e0785f6218503090b957d27d6485e79e4dbecd18",
+    ("1", "--json"): "e46ee4d266a28e2ee0446cc837a2638f8287eeb4dddc8a38114fbb1173d1afdc",
+    ("2", "--subset", "units", "--json"):
+        "6e283400b1458aa749565a0c56d4432ece2ba77d7d4b2dc4b02556a906359816",
+}
+
+
+def test_list_output_digests(capsys):
+    for argv, digest in LIST_DIGESTS.items():
+        code, out, _ = run(capsys, "list", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 def test_count_formulas_use_no_trial_division():
     from gcdpairs import cli, numtheory
 

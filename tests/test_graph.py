@@ -44,6 +44,9 @@ def test_build_g1_and_g6():
     g6 = build(6)
     assert len(g6.simple_edges) == 13
     assert g6.loops == frozenset({1, 2, 3})
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match=f"modulus must be >= 1, got {bad}"):
+            build(bad)
 
 
 @given(st.integers(1, 200))
@@ -287,12 +290,13 @@ def test_export_dot_distinct_and_stable():
 
 
 def test_graph_json_round_trip():
-    g = build(10)
-    invariants, _ = analyze(g)
-    payload = g.to_json_dict(invariants)
-    rebuilt = graph_from_json_dict(payload)
-    assert rebuilt == g
-    assert rebuilt.to_json_dict(invariants) == payload
+    for n in (1, 2, 10, 37, 60):
+        g = build(n)
+        invariants, _ = analyze(g)
+        payload = g.to_json_dict(invariants)
+        rebuilt = graph_from_json_dict(payload)
+        assert rebuilt == g, n
+        assert rebuilt.to_json_dict(invariants) == payload, n
 
 
 def test_analyze_reports():

@@ -1,11 +1,16 @@
 """Oracle self-checks and the central cross-validation against the fast paths."""
 
-import numpy as np
 import pytest
 
 from gcdpairs import oracle
 from gcdpairs.graph import build, chromatic_number, domination_number, max_clique
-from gcdpairs.pairs import classify_elements, count_pairs, enumerate_pairs, iter_rows
+from gcdpairs.pairs import (
+    classify_elements,
+    count_pairs,
+    enumerate_pairs,
+    iter_rows,
+    residue_mask,
+)
 
 
 def test_naive_enumerate_examples():
@@ -32,10 +37,11 @@ def test_row_counts_and_rows_equal_euclid_oracle_to_150():
         reference = oracle.naive_enumerate(n).pairs
         assert [(a, b) for a, row in iter_rows(n) for b in row] == list(reference), n
         for subset in classify_elements(n)[1:] if n >= 2 else [frozenset()]:  # units, zero divisors
-            within = np.zeros(n, dtype=bool)
-            within[list(subset)] = True
+            within = residue_mask(n, subset)
             expected = (len(reference), oracle.naive_restricted_count(n, subset))
             assert count_pairs(n, within) == expected, (n, sorted(subset))
+            inside = [(a, b) for a, b in reference if a in subset and b in subset]
+            assert [(a, b) for a, row in iter_rows(n, within) for b in row] == inside, n
 
 
 def test_naive_restricted_count():
