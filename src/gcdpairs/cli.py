@@ -283,7 +283,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"gcdpairs verify: {exc}", file=sys.stderr)
         return 2
     claim_filter = None
-    if args.claims:
+    if args.claims is not None:
         claim_filter = [part.strip() for part in args.claims.split(",") if part.strip()]
     report = run_verification(max_n=args.max_n, claims=claim_filter, bounds=bounds)
     if not report.entries:

@@ -202,13 +202,14 @@ def star_subgraph(g: GcdGraph) -> StarWitness:
     return StarWitness(center=1, leaves=frozenset(range(g.n)) - {1})
 
 
-def embedding_check(m: int, n: int) -> tuple[bool, list[tuple[int, int]]]:
-    """Does G_m embed identically (labels 0..m-1) into G_n? Requires m | n."""
-    if m < 1 or n % m != 0:
-        raise ValueError(f"{m} does not divide {n}")
-    g_small, g_big = build(m), build(n)
-    missing = [(a, b) for a, b in g_small.sorted_edges() if not g_big.adjacency[a] >> b & 1]
-    missing += [(a, a) for a in sorted(g_small.loops) if a not in g_big.loops]
+def embedding_check(small: GcdGraph, big: GcdGraph) -> tuple[bool, list[tuple[int, int]]]:
+    """Does small = G_m embed identically (labels 0..m-1) into big = G_n? Requires
+    m | n. Also returns the edges (a < b) and loops (a, a) of G_m missing in G_n."""
+    if small.n < 1 or big.n % small.n != 0:
+        raise ValueError(f"{small.n} does not divide {big.n}")
+    rows = zip(small.adjacency, big.adjacency)
+    missing = [(a, b) for a, (s, t) in enumerate(rows) for b in _bits(s & ~t & _above(a))]
+    missing += [(a, a) for a in sorted(small.loops - big.loops)]
     return (not missing, missing)
 
 

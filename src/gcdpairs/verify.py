@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from math import gcd
 from typing import Callable
@@ -23,11 +24,13 @@ from typing import Callable
 from . import oracle
 from .graph import (
     DEFAULT_BOUNDS,
+    GcdGraph,
     SearchBounds,
     build,
     chromatic_number,
     clique_construction,
     domination_number,
+    embedding_check,
     has_triangle,
     hamiltonian_cycle,
     hamiltonian_path,
@@ -46,6 +49,7 @@ from .numtheory import (
     primes_below,
 )
 from .pairs import (
+    CountKind,
     classify_elements,
     count_prime_power_formula,
     count_zero_divisor_closed,
@@ -114,6 +118,50 @@ class VerificationReport:
         return {"schema": 1, "entries": [e.to_json_dict() for e in self.entries]}
 
 
+Runner = Callable[[int, SearchBounds], tuple[str, Status, str]]
+
+
+@dataclass(frozen=True)
+class ClaimSpec:
+    claim_id: str
+    statement: str
+    default_limit: int
+    runner: Runner
+
+
+CLAIMS: list[ClaimSpec] = []
+
+
+def _claim(claim_id: str, statement: str, default_limit: int) -> Callable[[Runner], Runner]:
+    """Register the decorated runner in CLAIMS; definition order is report order."""
+
+    def register(runner: Runner) -> Runner:
+        CLAIMS.append(ClaimSpec(claim_id, statement, default_limit, runner))
+        return runner
+
+    return register
+
+
+# Each graph and oracle count below is computed once per process and shared by
+# every claim that needs it; the claims' default limits bound the keys (graphs
+# n <= 200, counts n <= 500).
+
+
+@cache
+def _graph(n: int) -> GcdGraph:
+    return build(n)
+
+
+@cache
+def _zero_divisor_pairs_naive(n: int) -> int:
+    return oracle.naive_restricted_count(n, classify_elements(n).zero_divisors)
+
+
+@cache
+def _unit_pairs_naive(m: int) -> int:
+    return oracle.naive_restricted_count(m, classify_elements(m).units)
+
+
 def _ring_pair(n: int, a: int, b: int) -> bool:
     # ground-truth predicate, written from the definition on purpose
     g = gcd(a % n, b % n)
@@ -123,6 +171,7 @@ def _ring_pair(n: int, a: int, b: int) -> bool:
 # --- pair characterizations ---------------------------------------------------
 
 
+@_claim("pair-when-divisor", "if a divides n then {a, b} is a gcd-pair for every b", 200)
 def _claim_pair_when_divisor(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
     checked = 0
     for n in range(1, limit + 1):
@@ -138,6 +187,7 @@ def _claim_pair_when_divisor(limit: int, bounds: SearchBounds) -> tuple[str, Sta
     return (f"n <= {limit}", Status.PASS, f"{checked} divisor pairs confirmed")
 
 
+@_claim("unit-pairs-coprime", "a gcd-pair containing a unit has coprime members", 200)
 def _claim_unit_pairs_coprime(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
     checked = 0
     for n in range(2, limit + 1):
@@ -167,6 +217,7 @@ def _prime_powers_upto(limit: int) -> list[PrimePower]:
     return sorted(out, key=lambda pp: pp.value)
 
 
+@_claim("prime-power-count", "pair count of Z_{p^k} equals k + nested totient sums", 500)
 def _claim_prime_power_count(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
     pps = _prime_powers_upto(limit)
     for pp in pps:
@@ -181,6 +232,11 @@ def _claim_prime_power_count(limit: int, bounds: SearchBounds) -> tuple[str, Sta
     return (f"p^k <= {limit}", Status.PASS, f"{len(pps)} prime powers match enumeration")
 
 
+@_claim(
+    "composite-count-bound",
+    "composite n: pair count strictly exceeds 1 + sum phi(1..n-1)",
+    500,
+)
 def _claim_composite_bound(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
     phi = phi_sieve(limit)
     running = 0
@@ -201,6 +257,7 @@ def _claim_composite_bound(limit: int, bounds: SearchBounds) -> tuple[str, Statu
     return (f"composite n <= {limit}", Status.PASS, f"{checked} composites strictly above bound")
 
 
+@_claim("zero-divisor-partition", "the cells S'_d partition the zero divisors", 500)
 def _claim_partition(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
     for n in range(2, limit + 1):
         part = zero_divisor_partition(n)
@@ -220,21 +277,15 @@ def _claim_partition(limit: int, bounds: SearchBounds) -> tuple[str, Status, str
     return (f"n <= {limit}", Status.PASS, "cells are disjoint and cover the zero divisors")
 
 
-def _zero_divisor_pairs_naive(n: int) -> int:
-    return oracle.naive_restricted_count(n, classify_elements(n).zero_divisors)
-
-
+@_claim(
+    "zero-divisor-pair-bound",
+    "zero-divisor pairs dominate the sum of unit-restricted counts over divisors",
+    500,
+)
 def _claim_cell_sum_bound(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
-    unit_counts: dict[int, int] = {}
-
-    def units_count(m: int) -> int:
-        if m not in unit_counts:
-            unit_counts[m] = oracle.naive_restricted_count(m, classify_elements(m).units)
-        return unit_counts[m]
-
     for n in range(2, limit + 1):
         lhs = _zero_divisor_pairs_naive(n)
-        rhs = sum(units_count(n // d) for d in nontrivial_divisors(n) if n // d >= 2)
+        rhs = sum(_unit_pairs_naive(n // d) for d in nontrivial_divisors(n) if n // d >= 2)
         if lhs < rhs:
             return (
                 f"n <= {limit}",
@@ -251,6 +302,11 @@ def _claim_cell_sum_bound(limit: int, bounds: SearchBounds) -> tuple[str, Status
     return (f"n <= {limit}", Status.PASS, "zero-divisor pair count dominates the cell sum")
 
 
+@_claim(
+    "semiprime-zero-divisor-bound",
+    "for distinct primes: zero-divisor pairs >= |pairs(Z_p)| + |pairs(Z_q)| + p + q - 5",
+    500,
+)
 def _claim_semiprime_bound(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
     sample = ""
     checked = 0
@@ -273,6 +329,11 @@ def _claim_semiprime_bound(limit: int, bounds: SearchBounds) -> tuple[str, Statu
     return (f"pq <= {limit}", Status.PASS, f"{checked} semiprimes respect the bound{sample}")
 
 
+@_claim(
+    "double-prime-zero-divisors",
+    "n = 2p, p odd: zero-divisor pairs = |pairs(Z_p)| + p - 1 exactly",
+    500,
+)
 def _claim_double_prime(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
     checked = 0
     for p in primes_below(limit // 2 + 1):
@@ -281,7 +342,7 @@ def _claim_double_prime(limit: int, bounds: SearchBounds) -> tuple[str, Status, 
         n = 2 * p
         result = count_zero_divisor_closed(n)
         actual = _zero_divisor_pairs_naive(n)
-        if result.kind.value != "exact" or result.value != actual:
+        if result.kind is not CountKind.EXACT or result.value != actual:
             return (
                 f"2p <= {limit}",
                 Status.FAIL,
@@ -291,31 +352,41 @@ def _claim_double_prime(limit: int, bounds: SearchBounds) -> tuple[str, Status, 
     return (f"2p <= {limit}", Status.PASS, f"{checked} values exact")
 
 
+@_claim(
+    "triple-prime-zero-divisors",
+    "n = 3p, p != 3: zero-divisor pairs = |pairs(Z_p)| + p + ceil((p-1)/2) exactly",
+    500,
+)
 def _claim_triple_prime(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
     checked = 0
     for p in primes_below(limit // 3 + 1):
         if p == 3:
             continue
         n = 3 * p
-        expected = count_prime_power_formula(PrimePower(p, 1)).value + p + p // 2
+        result = count_zero_divisor_closed(n)
         actual = _zero_divisor_pairs_naive(n)
-        if expected != actual:
+        if result.kind is not CountKind.EXACT or result.value != actual:
             return (
                 f"3p <= {limit}",
                 Status.FAIL,
-                f"closed form {expected} != actual {actual} at n={n}",
+                f"closed form {result.value} ({result.kind.value}) != actual {actual} at n={n}",
             )
         checked += 1
     return (f"3p <= {limit}", Status.PASS, f"{checked} values exact")
 
 
+@_claim(
+    "prime-power-zero-divisors",
+    "n = p^k: zero-divisor pairs = |pairs(Z_{p^(k-1)})| - k + 1 (0 for primes)",
+    500,
+)
 def _claim_prime_power_zero_divisors(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
     pps = _prime_powers_upto(limit)
     for pp in pps:
         n = pp.value
         result = count_zero_divisor_closed(n)
-        actual = _zero_divisor_pairs_naive(n) if n >= 2 else 0
-        if result.kind.value != "exact" or result.value != actual:
+        actual = _zero_divisor_pairs_naive(n)
+        if result.kind is not CountKind.EXACT or result.value != actual:
             return (
                 f"p^k <= {limit}",
                 Status.FAIL,
@@ -327,49 +398,51 @@ def _claim_prime_power_zero_divisors(limit: int, bounds: SearchBounds) -> tuple[
 # --- graph propositions ---------------------------------------------------------
 
 
+@_claim("subgraph-embedding", "G_m embeds identically in G_n whenever m divides n", 200)
 def _claim_embedding(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
     checked = 0
     for n in range(1, limit + 1):
-        gn = build(n)
         for m in divisors(n):
             if m == n:
                 continue
-            gm = build(m)
-            lost = any(gm.adjacency[v] & ~gn.adjacency[v] for v in range(m))
-            if lost or not gm.loops <= gn.loops:
+            if not embedding_check(_graph(m), _graph(n))[0]:
                 return (f"m|n <= {limit}", Status.FAIL, f"G_{m} does not embed in G_{n}")
             checked += 1
     return (f"m|n <= {limit}", Status.PASS, f"{checked} divisor embeddings verified")
 
 
+@_claim("star-subgraph", "a maximal star of order n centers at vertex 1", 200)
 def _claim_star(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
     for n in range(2, limit + 1):
-        w = star_subgraph(build(n))  # raises if any spoke is missing
+        w = star_subgraph(_graph(n))  # raises if any spoke is missing
         if w.center != 1 or len(w.leaves) != n - 1:
             return (f"n <= {limit}", Status.FAIL, f"star at n={n} malformed")
     return (f"n <= {limit}", Status.PASS, "vertex 1 centers a full star in every graph")
 
 
+@_claim("domination-number", "the domination number is 1", 200)
 def _claim_domination(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
     for n in range(2, limit + 1):
-        gamma, witness = domination_number(build(n))
+        gamma, witness = domination_number(_graph(n))
         if gamma != 1 or witness != frozenset({1}):
             return (f"n <= {limit}", Status.FAIL, f"domination ({gamma}, {sorted(witness)}) at n={n}")
-        if n <= oracle.MAX_DOMINATION_N and oracle.exhaustive_domination(build(n)) != 1:
+        if n <= oracle.MAX_DOMINATION_N and oracle.exhaustive_domination(_graph(n)) != 1:
             return (f"n <= {limit}", Status.FAIL, f"oracle domination differs at n={n}")
     return (f"n <= {limit}", Status.PASS, "domination number 1 with witness {1} everywhere")
 
 
+@_claim("connectivity", "G_n is connected", 200)
 def _claim_connectivity(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
     for n in range(1, limit + 1):
-        if not is_connected(build(n)):
+        if not is_connected(_graph(n)):
             return (f"n <= {limit}", Status.FAIL, f"G_{n} not connected")
     return (f"n <= {limit}", Status.PASS, "every graph connected")
 
 
+@_claim("triangle-threshold", "triangles exist exactly for n >= 4", 200)
 def _claim_triangles(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
     for n in range(1, limit + 1):
-        g = build(n)
+        g = _graph(n)
         present = has_triangle(g) is not None
         if present != (n >= 4):
             return (f"n <= {limit}", Status.FAIL, f"triangle presence wrong at n={n}")
@@ -383,28 +456,31 @@ def _claim_triangles(limit: int, bounds: SearchBounds) -> tuple[str, Status, str
     return (f"n <= {limit}", Status.PASS, "triangles exist exactly for n >= 4")
 
 
+@_claim("traceable", "(0, 1, ..., n-1) is a Hamiltonian path", 200)
 def _claim_traceable(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
     for n in range(2, limit + 1):
-        hamiltonian_path(build(n))  # validates (0, 1, ..., n-1) edge by edge
+        hamiltonian_path(_graph(n))  # validates (0, 1, ..., n-1) edge by edge
     return (f"n <= {limit}", Status.PASS, "canonical path (0,...,n-1) valid in every graph")
 
 
+@_claim("hamiltonian-even", "even n > 2: (0, 2, 3, ..., n-1, 1) is a Hamiltonian cycle", 200)
 def _claim_hamiltonian_even(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
     for n in range(4, limit + 1, 2):
-        res = hamiltonian_cycle(build(n))
+        res = hamiltonian_cycle(_graph(n))
         if res.cycle is None:
             return (f"even n <= {limit}", Status.FAIL, f"no constructive cycle at n={n}")
         if n <= oracle.MAX_CYCLE_N:
-            found, _ = oracle.exhaustive_hamiltonian(build(n))
+            found, _ = oracle.exhaustive_hamiltonian(_graph(n))
             if found is None:
                 return (f"even n <= {limit}", Status.FAIL, f"oracle finds no cycle at n={n}")
     return (f"even n <= {limit}", Status.PASS, "constructive Hamiltonian cycle validates")
 
 
+@_claim("longest-cycle-odd", "odd n: no Hamiltonian cycle; maximum cycle order is n - 1", 15)
 def _claim_longest_cycle_odd(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
     limit = min(limit, oracle.MAX_CYCLE_N)
     for n in range(5, limit + 1, 2):
-        g = build(n)
+        g = _graph(n)
         longest_cycle_constructive(g)  # validates the (1,...,n-1) cycle
         ham, longest = oracle.exhaustive_hamiltonian(g)
         if ham is not None:
@@ -442,8 +518,9 @@ def _is_ring_clique(n: int, vertices: list[int]) -> bool:
     return all(_ring_pair(n, a, b) for a, b in combinations(vertices, 2))
 
 
+@cache
 def _observed_omega(n: int, bounds: SearchBounds) -> int:
-    g = build(n)
+    g = _graph(n)
     size = len(max_clique(g, bounds).vertices)
     if n <= oracle.MAX_CLIQUE_N:
         oracle_size = len(oracle.exhaustive_max_clique(g).vertices)
@@ -452,6 +529,11 @@ def _observed_omega(n: int, bounds: SearchBounds) -> int:
     return size
 
 
+@_claim(
+    "clique-two-prime-product",
+    "n = pq: a maximal clique of order m+k+2 (suspect for q > p^2)",
+    33,
+)
 def _claim_clique_two_prime(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
     tested = [v for v in _TWO_PRIME_PRODUCTS if v <= limit]
     if not tested:
@@ -489,6 +571,7 @@ def _prime_power_clique_order(pp: PrimePower) -> int:
     return m + pp.k
 
 
+@_claim("clique-prime-power", "n = p^k: a maximal clique of order m+k (k+1 when n = 2)", 40)
 def _claim_clique_prime_power(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
     checked = 0
     for pp in _prime_powers_upto(limit):
@@ -508,6 +591,7 @@ def _claim_clique_prime_power(limit: int, bounds: SearchBounds) -> tuple[str, St
     return (f"p^k <= {limit}", Status.PASS, f"{checked} prime powers give maximal order m+k")
 
 
+@_claim("clique-prime-count", "1 together with the primes below n is a clique of order m+1", 40)
 def _claim_clique_prime_count(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
     for n in range(2, limit + 1):
         base = [1, *primes_below(n)]
@@ -526,6 +610,7 @@ def _has_k5(n: int) -> bool:
     return any(_is_ring_clique(n, list(c)) for c in combinations(range(n), 5))
 
 
+@_claim("k5-threshold", "a K5 subgraph exists exactly for n >= 6, n != 7", 60)
 def _claim_k5(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
     for n in range(2, limit + 1):
         if _has_k5(n) != (n >= 6 and n != 7):
@@ -533,9 +618,10 @@ def _claim_k5(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
     return (f"n <= {limit}", Status.PASS, "K5 exists exactly for n >= 6, n != 7")
 
 
+@_claim("planarity-threshold", "G_n is planar exactly for n <= 7, n != 6", 30)
 def _claim_planarity(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
     for n in range(2, limit + 1):
-        g = build(n)
+        g = _graph(n)
         planar = is_planar(g)
         if planar != (n <= 7 and n != 6):
             return (f"n <= {limit}", Status.FAIL, f"planarity wrong at n={n}")
@@ -550,13 +636,14 @@ def _claim_planarity(limit: int, bounds: SearchBounds) -> tuple[str, Status, str
 _SMALL_CHROMATIC = {2: 2, 3: 2, 4: 3, 5: 3, 6: 5, 7: 4}
 
 
+@_claim("chromatic-small", "chromatic numbers of G_2..G_7 are 2, 2, 3, 3, 5, 4", 7)
 def _claim_chromatic_small(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
     span = f"2 <= n <= {limit}"
     checked = {n: expected for n, expected in _SMALL_CHROMATIC.items() if n <= limit}
     if not checked:
         return (span, Status.NOTED, f"no n <= {limit} in range")
     for n, expected in checked.items():
-        g = build(n)
+        g = _graph(n)
         exact = chromatic_number(g, bounds).color_count
         if exact != expected:
             return (span, Status.FAIL, f"chromatic {exact} != {expected} at n={n}")
@@ -566,6 +653,11 @@ def _claim_chromatic_small(limit: int, bounds: SearchBounds) -> tuple[str, Statu
     return (span, Status.PASS, f"chromatic numbers {values} confirmed")
 
 
+@_claim(
+    "chromatic-two-prime-bound",
+    "n = pq: chromatic number >= m+k+2 (inherits the suspect clique order)",
+    33,
+)
 def _claim_chromatic_two_prime(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
     cap = min(limit, bounds.chromatic_exact)
     tested = [v for v in _TWO_PRIME_PRODUCTS if v <= cap]
@@ -576,7 +668,7 @@ def _claim_chromatic_two_prime(limit: int, bounds: SearchBounds) -> tuple[str, S
     for n in tested:
         _, _, m, k = _two_prime_parameters(n)
         claimed = m + k + 2
-        actual = chromatic_number(build(n), bounds).color_count
+        actual = chromatic_number(_graph(n), bounds).color_count
         if actual >= claimed:
             rows.append(f"n={n}: chromatic {actual} >= {claimed}")
         else:
@@ -586,17 +678,18 @@ def _claim_chromatic_two_prime(limit: int, bounds: SearchBounds) -> tuple[str, S
     return (f"n in {tested}", status, "; ".join(rows))
 
 
+@_claim("chromatic-prime-bounds", "chromatic number >= m+k for n = p^k and >= m+1 in general", 16)
 def _claim_chromatic_prime_bounds(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
     cap = min(limit, bounds.chromatic_exact)
     for pp in _prime_powers_upto(cap):
         n = pp.value
         bound = _prime_power_clique_order(pp)
-        actual = chromatic_number(build(n), bounds).color_count
+        actual = chromatic_number(_graph(n), bounds).color_count
         if actual < bound:
             return (f"n <= {cap}", Status.FAIL, f"chromatic {actual} below m+k={bound} at n={n}")
     for n in range(2, min(cap, oracle.MAX_CHROMATIC_N) + 1):
         bound = len(primes_below(n)) + 1
-        actual = oracle.exhaustive_chromatic(build(n))
+        actual = oracle.exhaustive_chromatic(_graph(n))
         if actual < bound:
             return (f"n <= {cap}", Status.FAIL, f"chromatic {actual} below m+1={bound} at n={n}")
     return (f"n <= {cap}", Status.PASS, "prime-power and prime-count lower bounds hold")
@@ -605,6 +698,7 @@ def _claim_chromatic_prime_bounds(limit: int, bounds: SearchBounds) -> tuple[str
 # --- errata -------------------------------------------------------------------
 
 
+@_claim("errata-zero-divisors-mod-8", "documented typo: the zero divisors of Z_8", 8)
 def _claim_errata_z8(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
     actual = sorted(classify_elements(8).zero_divisors)
     if actual != [2, 4, 6]:
@@ -617,6 +711,7 @@ def _claim_errata_z8(limit: int, bounds: SearchBounds) -> tuple[str, Status, str
     )
 
 
+@_claim("errata-units-mod-9", "documented typo: the units of Z_9", 9)
 def _claim_errata_u9(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
     actual = sorted(classify_elements(9).units)
     if actual != [1, 2, 4, 5, 7, 8]:
@@ -628,8 +723,9 @@ def _claim_errata_u9(limit: int, bounds: SearchBounds) -> tuple[str, Status, str
     )
 
 
+@_claim("errata-odd-cycle-small", "edge case: the odd maximal-cycle claim at n = 3", 3)
 def _claim_errata_n3_cycle(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
-    _, longest = oracle.exhaustive_hamiltonian(build(3))
+    _, longest = oracle.exhaustive_hamiltonian(_graph(3))
     if longest != 0:
         return ("n = 3", Status.FAIL, f"G_3 unexpectedly contains a cycle of order {longest}")
     return (
@@ -640,202 +736,17 @@ def _claim_errata_n3_cycle(limit: int, bounds: SearchBounds) -> tuple[str, Statu
     )
 
 
-@dataclass(frozen=True)
-class ClaimSpec:
-    claim_id: str
-    statement: str
-    default_limit: int
-    runner: Callable[[int, SearchBounds], tuple[str, Status, str]]
-
-
-CLAIMS: tuple[ClaimSpec, ...] = (
-    ClaimSpec(
-        "pair-when-divisor",
-        "if a divides n then {a, b} is a gcd-pair for every b",
-        200,
-        _claim_pair_when_divisor,
-    ),
-    ClaimSpec(
-        "unit-pairs-coprime",
-        "a gcd-pair containing a unit has coprime members",
-        200,
-        _claim_unit_pairs_coprime,
-    ),
-    ClaimSpec(
-        "prime-power-count",
-        "pair count of Z_{p^k} equals k + nested totient sums",
-        500,
-        _claim_prime_power_count,
-    ),
-    ClaimSpec(
-        "composite-count-bound",
-        "composite n: pair count strictly exceeds 1 + sum phi(1..n-1)",
-        500,
-        _claim_composite_bound,
-    ),
-    ClaimSpec(
-        "zero-divisor-partition",
-        "the cells S'_d partition the zero divisors",
-        500,
-        _claim_partition,
-    ),
-    ClaimSpec(
-        "zero-divisor-pair-bound",
-        "zero-divisor pairs dominate the sum of unit-restricted counts over divisors",
-        500,
-        _claim_cell_sum_bound,
-    ),
-    ClaimSpec(
-        "semiprime-zero-divisor-bound",
-        "for distinct primes: zero-divisor pairs >= |pairs(Z_p)| + |pairs(Z_q)| + p + q - 5",
-        500,
-        _claim_semiprime_bound,
-    ),
-    ClaimSpec(
-        "double-prime-zero-divisors",
-        "n = 2p, p odd: zero-divisor pairs = |pairs(Z_p)| + p - 1 exactly",
-        500,
-        _claim_double_prime,
-    ),
-    ClaimSpec(
-        "triple-prime-zero-divisors",
-        "n = 3p, p != 3: zero-divisor pairs = |pairs(Z_p)| + p + ceil((p-1)/2) exactly",
-        500,
-        _claim_triple_prime,
-    ),
-    ClaimSpec(
-        "prime-power-zero-divisors",
-        "n = p^k: zero-divisor pairs = |pairs(Z_{p^(k-1)})| - k + 1 (0 for primes)",
-        500,
-        _claim_prime_power_zero_divisors,
-    ),
-    ClaimSpec(
-        "subgraph-embedding",
-        "G_m embeds identically in G_n whenever m divides n",
-        200,
-        _claim_embedding,
-    ),
-    ClaimSpec(
-        "star-subgraph",
-        "a maximal star of order n centers at vertex 1",
-        200,
-        _claim_star,
-    ),
-    ClaimSpec(
-        "domination-number",
-        "the domination number is 1",
-        200,
-        _claim_domination,
-    ),
-    ClaimSpec(
-        "connectivity",
-        "G_n is connected",
-        200,
-        _claim_connectivity,
-    ),
-    ClaimSpec(
-        "triangle-threshold",
-        "triangles exist exactly for n >= 4",
-        200,
-        _claim_triangles,
-    ),
-    ClaimSpec(
-        "traceable",
-        "(0, 1, ..., n-1) is a Hamiltonian path",
-        200,
-        _claim_traceable,
-    ),
-    ClaimSpec(
-        "hamiltonian-even",
-        "even n > 2: (0, 2, 3, ..., n-1, 1) is a Hamiltonian cycle",
-        200,
-        _claim_hamiltonian_even,
-    ),
-    ClaimSpec(
-        "longest-cycle-odd",
-        "odd n: no Hamiltonian cycle; maximum cycle order is n - 1",
-        15,
-        _claim_longest_cycle_odd,
-    ),
-    ClaimSpec(
-        "clique-two-prime-product",
-        "n = pq: a maximal clique of order m+k+2 (suspect for q > p^2)",
-        33,
-        _claim_clique_two_prime,
-    ),
-    ClaimSpec(
-        "clique-prime-power",
-        "n = p^k: a maximal clique of order m+k (k+1 when n = 2)",
-        40,
-        _claim_clique_prime_power,
-    ),
-    ClaimSpec(
-        "clique-prime-count",
-        "1 together with the primes below n is a clique of order m+1",
-        40,
-        _claim_clique_prime_count,
-    ),
-    ClaimSpec(
-        "k5-threshold",
-        "a K5 subgraph exists exactly for n >= 6, n != 7",
-        60,
-        _claim_k5,
-    ),
-    ClaimSpec(
-        "planarity-threshold",
-        "G_n is planar exactly for n <= 7, n != 6",
-        30,
-        _claim_planarity,
-    ),
-    ClaimSpec(
-        "chromatic-small",
-        "chromatic numbers of G_2..G_7 are 2, 2, 3, 3, 5, 4",
-        7,
-        _claim_chromatic_small,
-    ),
-    ClaimSpec(
-        "chromatic-two-prime-bound",
-        "n = pq: chromatic number >= m+k+2 (inherits the suspect clique order)",
-        33,
-        _claim_chromatic_two_prime,
-    ),
-    ClaimSpec(
-        "chromatic-prime-bounds",
-        "chromatic number >= m+k for n = p^k and >= m+1 in general",
-        16,
-        _claim_chromatic_prime_bounds,
-    ),
-    ClaimSpec(
-        "errata-zero-divisors-mod-8",
-        "documented typo: the zero divisors of Z_8",
-        8,
-        _claim_errata_z8,
-    ),
-    ClaimSpec(
-        "errata-units-mod-9",
-        "documented typo: the units of Z_9",
-        9,
-        _claim_errata_u9,
-    ),
-    ClaimSpec(
-        "errata-odd-cycle-small",
-        "edge case: the odd maximal-cycle claim at n = 3",
-        3,
-        _claim_errata_n3_cycle,
-    ),
-)
-
-
 def run_verification(
     max_n: int | None = None,
     claims: list[str] | None = None,
     bounds: SearchBounds = DEFAULT_BOUNDS,
 ) -> VerificationReport:
-    """Run every claim (or the ones whose id contains a requested substring),
-    optionally capping enumeration ranges at max_n."""
+    """Run every claim, or with `claims` only those whose id contains one of its
+    substrings (an empty list selects none), optionally capping enumeration
+    ranges at max_n."""
     entries = []
     for spec in CLAIMS:
-        if claims and not any(f in spec.claim_id for f in claims):
+        if claims is not None and not any(f in spec.claim_id for f in claims):
             continue
         limit = spec.default_limit if max_n is None else min(spec.default_limit, max_n)
         range_tested, status, details = spec.runner(limit, bounds)

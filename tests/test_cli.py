@@ -322,6 +322,23 @@ def test_list_output_digests(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
+
+# stdout sha256 of `gcdpairs verify ...`, recorded when the claims were listed
+# in a table apart from their runners and every claim built its own graphs.
+VERIFY_DIGESTS = {
+    ("--max-n", "40"): "94e3d8fe3e1a804c029dd16846942575ee16aa383731cdbce227d6141f74ab28",
+    ("--max-n", "3"): "6559d661ed6b63df00eebc541f0bc52c8de55174c4208339122858971b37644f",
+    ("--max-n", "12", "--json"): "b5b4ec8bb4612bb6183b07dcdab5d158703f5ce6c27bf6da48772e3c49b77916",
+}
+
+
+def test_verify_output_digests(capsys):
+    for argv, digest in VERIFY_DIGESTS.items():
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 def test_count_formulas_use_no_trial_division():
     from gcdpairs import cli, numtheory
 
@@ -363,6 +380,14 @@ def test_verify_rejects_a_range_that_checks_nothing(capsys):
         code, out, err = run(capsys, "verify", "--max-n", max_n)
         assert code == 2 and out == ""
         assert err == f"gcdpairs verify: --max-n must be >= 2, got {max_n}\n"
+
+
+
+def test_verify_rejects_a_filter_that_selects_nothing(capsys):
+    for claims in (",", "", " , "):
+        code, out, err = run(capsys, "verify", "--claims", claims)
+        assert code == 2 and out == "", claims
+        assert err == "gcdpairs verify: no claims match the filter\n", claims
 
 
 def _subprocess_env() -> dict:

@@ -87,18 +87,18 @@ def test_star_examples():
 
 
 def test_embedding_examples():
-    assert embedding_check(3, 6) == (True, [])
-    assert embedding_check(7, 7) == (True, [])
-    assert embedding_check(5, 20) == (True, [])
+    assert embedding_check(build(3), build(6)) == (True, [])
+    assert embedding_check(build(7), build(7)) == (True, [])
+    assert embedding_check(build(5), build(20)) == (True, [])
     with pytest.raises(ValueError):
-        embedding_check(4, 6)
+        embedding_check(build(4), build(6))
 
 
 @given(st.integers(1, 150), st.data())
 @settings(max_examples=40)
 def test_embedding_for_every_divisor(n, data):
     m = data.draw(st.sampled_from(divisors(n)))
-    ok, missing = embedding_check(m, n)
+    ok, missing = embedding_check(build(m), build(n))
     assert ok and missing == []
 
 

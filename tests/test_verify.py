@@ -1,5 +1,6 @@
 """Structure and statuses of the claim-verification report."""
 
+from gcdpairs import verify
 from gcdpairs.verify import CLAIMS, Status, run_verification
 
 EXPECTED_CLAIM_IDS = [
@@ -89,3 +90,17 @@ def test_report_serialization_round_trip():
 def test_semiprime_bound_detail_mentions_15():
     report = run_verification(max_n=20, claims=["semiprime-zero-divisor-bound"])
     assert "n=15 reproduces bound 13 <= actual 14" in report.entries[0].details
+
+
+def test_each_graph_is_built_once(monkeypatch):
+    built = []
+    real_build = verify.build
+
+    def counting_build(n):
+        built.append(n)
+        return real_build(n)
+
+    verify._graph.cache_clear()
+    monkeypatch.setattr(verify, "build", counting_build)
+    run_verification(max_n=40)
+    assert sorted(built) == list(range(1, 41))
