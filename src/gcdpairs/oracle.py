@@ -70,6 +70,41 @@ def naive_restricted_count(n: int, elements) -> int:
     return total
 
 
+class GcdTable:
+    """gcd(a, b) for every 0 <= a, b < limit, by the Euclid recurrence above run
+    on whole arrays, for claims that count pairs at many n below one limit."""
+
+    def __init__(self, limit: int):
+        values = np.arange(limit, dtype=np.int32)
+        a, b = np.repeat(values, limit), np.tile(values, limit)
+        while (live := np.flatnonzero(b)).size:
+            a[live], b[live] = b[live], a[live] % b[live]
+        a[0] = limit  # gcd(0, 0): a sentinel that divides no n < limit
+        self.limit = limit
+        self.gcds = a.reshape(limit, limit)
+
+    def rows(self, n: int, elements=None) -> np.ndarray:
+        """gcd(a, b) for a over the sorted `elements` (default Z_n) and b over Z_n."""
+        if not 1 <= n < self.limit:
+            raise OracleBoundError(f"GcdTable({self.limit}) covers 1 <= n < {self.limit}, got {n}")
+        if elements is None:
+            return self.gcds[:n, :n]
+        return self.gcds[_sorted_indices(elements), :n]
+
+    def count(self, n: int, elements=None) -> int:
+        """Pairs a <= b among `elements` (default all of Z_n) whose gcd divides n."""
+        block = self.rows(n, elements)
+        if elements is not None:
+            block = block[:, _sorted_indices(elements)]
+        hits = n % block == 0
+        # the block is symmetric, so each pair off its diagonal is counted twice
+        return (int(np.count_nonzero(hits)) + int(np.count_nonzero(hits.diagonal()))) // 2
+
+
+def _sorted_indices(elements) -> np.ndarray:
+    return np.array(sorted(set(elements)), dtype=np.intp)
+
+
 def _adjacency(g: GcdGraph) -> list[set[int]]:
     # own adjacency build from the edge set; loops are not adjacency
     adj: list[set[int]] = [set() for _ in range(g.n)]

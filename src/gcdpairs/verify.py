@@ -21,6 +21,8 @@ from itertools import combinations
 from math import gcd
 from typing import Callable
 
+import numpy as np
+
 from . import oracle
 from .graph import (
     DEFAULT_BOUNDS,
@@ -142,9 +144,9 @@ def _claim(claim_id: str, statement: str, default_limit: int) -> Callable[[Runne
     return register
 
 
-# Each graph and oracle count below is computed once per process and shared by
-# every claim that needs it; the claims' default limits bound the keys (graphs
-# n <= 200, counts n <= 500).
+# Each G_n is built once per process and shared by every claim that needs it;
+# the counting claims read every brute-force pair count off one oracle gcd table
+# per claim limit (the default limits keep graphs n <= 200 and counts n <= 500).
 
 
 @cache
@@ -153,13 +155,12 @@ def _graph(n: int) -> GcdGraph:
 
 
 @cache
-def _zero_divisor_pairs_naive(n: int) -> int:
-    return oracle.naive_restricted_count(n, classify_elements(n).zero_divisors)
+def _table(limit: int) -> oracle.GcdTable:
+    return oracle.GcdTable(limit + 1)
 
 
-@cache
-def _unit_pairs_naive(m: int) -> int:
-    return oracle.naive_restricted_count(m, classify_elements(m).units)
+def _zero_divisor_pairs(limit: int, n: int) -> int:
+    return _table(limit).count(n, classify_elements(n).zero_divisors)
 
 
 def _ring_pair(n: int, a: int, b: int) -> bool:
@@ -191,16 +192,18 @@ def _claim_pair_when_divisor(limit: int, bounds: SearchBounds) -> tuple[str, Sta
 def _claim_unit_pairs_coprime(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
     checked = 0
     for n in range(2, limit + 1):
-        for a in classify_elements(n).units:
-            for b in range(n):
-                if _ring_pair(n, a, b):
-                    checked += 1
-                    if gcd(a, b) != 1:
-                        return (
-                            f"n <= {limit}",
-                            Status.DISCREPANCY,
-                            f"unit pair with gcd > 1 at n={n}, a={a}, b={b}",
-                        )
+        units = sorted(classify_elements(n).units)
+        gcds = _table(limit).rows(n, units)  # row i holds gcd(units[i], b) for b in Z_n
+        paired = n % gcds == 0
+        checked += int(np.count_nonzero(paired))
+        offenders = np.argwhere(paired & (gcds != 1))
+        if offenders.size:
+            i, b = offenders[0]
+            return (
+                f"n <= {limit}",
+                Status.DISCREPANCY,
+                f"unit pair with gcd > 1 at n={n}, a={units[i]}, b={b}",
+            )
     return (f"n <= {limit}", Status.PASS, f"{checked} unit pairs all coprime")
 
 
@@ -222,7 +225,7 @@ def _claim_prime_power_count(limit: int, bounds: SearchBounds) -> tuple[str, Sta
     pps = _prime_powers_upto(limit)
     for pp in pps:
         expected = count_prime_power_formula(pp).value
-        actual = oracle.naive_count(pp.value)
+        actual = _table(limit).count(pp.value)
         if expected != actual:
             return (
                 f"p^k <= {limit}",
@@ -247,7 +250,7 @@ def _claim_composite_bound(limit: int, bounds: SearchBounds) -> tuple[str, Statu
             continue
         checked += 1
         bound = 1 + running  # 1 + sum phi(1..n-1)
-        actual = oracle.naive_count(n)
+        actual = _table(limit).count(n)
         if not actual > bound:
             return (
                 f"composite n <= {limit}",
@@ -284,8 +287,9 @@ def _claim_partition(limit: int, bounds: SearchBounds) -> tuple[str, Status, str
 )
 def _claim_cell_sum_bound(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
     for n in range(2, limit + 1):
-        lhs = _zero_divisor_pairs_naive(n)
-        rhs = sum(_unit_pairs_naive(n // d) for d in nontrivial_divisors(n) if n // d >= 2)
+        lhs = _zero_divisor_pairs(limit, n)
+        cofactors = [n // d for d in nontrivial_divisors(n) if n // d >= 2]
+        rhs = sum(_table(limit).count(m, classify_elements(m).units) for m in cofactors)
         if lhs < rhs:
             return (
                 f"n <= {limit}",
@@ -317,7 +321,7 @@ def _claim_semiprime_bound(limit: int, bounds: SearchBounds) -> tuple[str, Statu
             n = p * q
             checked += 1
             bound = semiprime_zero_divisor_bound(p, q).value
-            actual = _zero_divisor_pairs_naive(n)
+            actual = _zero_divisor_pairs(limit, n)
             if actual < bound:
                 return (
                     f"pq <= {limit}",
@@ -341,7 +345,7 @@ def _claim_double_prime(limit: int, bounds: SearchBounds) -> tuple[str, Status, 
             continue
         n = 2 * p
         result = count_zero_divisor_closed(n)
-        actual = _zero_divisor_pairs_naive(n)
+        actual = _zero_divisor_pairs(limit, n)
         if result.kind is not CountKind.EXACT or result.value != actual:
             return (
                 f"2p <= {limit}",
@@ -364,7 +368,7 @@ def _claim_triple_prime(limit: int, bounds: SearchBounds) -> tuple[str, Status, 
             continue
         n = 3 * p
         result = count_zero_divisor_closed(n)
-        actual = _zero_divisor_pairs_naive(n)
+        actual = _zero_divisor_pairs(limit, n)
         if result.kind is not CountKind.EXACT or result.value != actual:
             return (
                 f"3p <= {limit}",
@@ -385,7 +389,7 @@ def _claim_prime_power_zero_divisors(limit: int, bounds: SearchBounds) -> tuple[
     for pp in pps:
         n = pp.value
         result = count_zero_divisor_closed(n)
-        actual = _zero_divisor_pairs_naive(n)
+        actual = _zero_divisor_pairs(limit, n)
         if result.kind is not CountKind.EXACT or result.value != actual:
             return (
                 f"p^k <= {limit}",
@@ -744,6 +748,8 @@ def run_verification(
     """Run every claim, or with `claims` only those whose id contains one of its
     substrings (an empty list selects none), optionally capping enumeration
     ranges at max_n."""
+    if max_n is not None and max_n < 2:
+        raise ValueError(f"max_n must be >= 2, got {max_n}")
     entries = []
     for spec in CLAIMS:
         if claims is not None and not any(f in spec.claim_id for f in claims):

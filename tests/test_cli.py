@@ -326,6 +326,7 @@ def test_list_output_digests(capsys):
 # stdout sha256 of `gcdpairs verify ...`, recorded when the claims were listed
 # in a table apart from their runners and every claim built its own graphs.
 VERIFY_DIGESTS = {
+    (): "8d7bc8cf90e2a0ae94d2c99b0a7d007f4e2db7bce4cdff8add19cfc40d322264",
     ("--max-n", "40"): "94e3d8fe3e1a804c029dd16846942575ee16aa383731cdbce227d6141f74ab28",
     ("--max-n", "3"): "6559d661ed6b63df00eebc541f0bc52c8de55174c4208339122858971b37644f",
     ("--max-n", "12", "--json"): "b5b4ec8bb4612bb6183b07dcdab5d158703f5ce6c27bf6da48772e3c49b77916",

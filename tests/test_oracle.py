@@ -1,5 +1,7 @@
 """Oracle self-checks and the central cross-validation against the fast paths."""
 
+import math
+
 import pytest
 
 from gcdpairs import oracle
@@ -48,6 +50,21 @@ def test_naive_restricted_count():
     assert oracle.naive_restricted_count(6, {2, 3, 4}) == 5
     assert oracle.naive_restricted_count(15, {3, 5, 6, 9, 10, 12}) == 14
     assert oracle.naive_restricted_count(7, set()) == 0
+
+
+def test_gcd_table_matches_the_per_n_oracles_to_150():
+    table = oracle.GcdTable(151)
+    for a in range(151):
+        for b in range(151):
+            if a or b:
+                assert table.gcds[a, b] == math.gcd(a, b), (a, b)
+    for n in range(1, 151):
+        assert table.count(n) == oracle.naive_count(n), n
+        for subset in classify_elements(n)[1:] if n >= 2 else [frozenset()]:  # units, zero divisors
+            assert table.count(n, subset) == oracle.naive_restricted_count(n, subset), n
+    for n in (0, 151):
+        with pytest.raises(oracle.OracleBoundError):
+            table.count(n)
 
 
 def test_exhaustive_clique_examples():

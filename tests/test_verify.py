@@ -1,6 +1,8 @@
 """Structure and statuses of the claim-verification report."""
 
-from gcdpairs import verify
+import pytest
+
+from gcdpairs import oracle, verify
 from gcdpairs.verify import CLAIMS, Status, run_verification
 
 EXPECTED_CLAIM_IDS = [
@@ -104,3 +106,27 @@ def test_each_graph_is_built_once(monkeypatch):
     monkeypatch.setattr(verify, "build", counting_build)
     run_verification(max_n=40)
     assert sorted(built) == list(range(1, 41))
+
+
+@pytest.mark.parametrize("max_n", [1, 0, -5])
+def test_a_range_below_two_is_rejected(max_n):
+    with pytest.raises(ValueError, match=f"max_n must be >= 2, got {max_n}"):
+        run_verification(max_n=max_n)
+
+
+def test_pair_counts_come_from_the_gcd_table(monkeypatch):
+    def unused(*args):
+        raise AssertionError("verify called a per-n oracle count")
+
+    monkeypatch.setattr(oracle, "naive_count", unused)
+    monkeypatch.setattr(oracle, "naive_restricted_count", unused)
+    assert not run_verification(max_n=40).failures
+
+
+def test_a_wrong_table_gcd_fails_the_counting_claims(monkeypatch):
+    table = oracle.GcdTable(41)
+    table.gcds[2, 4] = table.gcds[4, 2] = 3  # gcd(2, 4) = 2 divides 8; 3 does not
+    monkeypatch.setattr(verify, "_table", lambda limit: table)
+    report = run_verification(max_n=40, claims=["prime-power-count", "prime-power-zero-divisors"])
+    assert [e.status for e in report.entries] == [Status.FAIL, Status.FAIL]
+    assert "at n=8" in report.entries[0].details
