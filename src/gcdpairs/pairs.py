@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple
@@ -251,13 +252,15 @@ def divisor_cell_sum_bound(n: int) -> CountResult:
     """
     if n < 2:
         raise ValueError(f"divisor_cell_sum_bound requires n >= 2, got {n}")
-    total = 0
-    for d in nontrivial_divisors(n):
-        m = n // d
-        if m < 2:
-            continue  # the d = n cell is empty and Z_1 has no pairs
-        total += count_pairs(m, np.gcd(np.arange(m), m) == 1)[1]  # unit flags of Z_m
+    # the d = n cell is empty: Z_1 has no pairs
+    total = sum(_unit_pair_count(n // d) for d in nontrivial_divisors(n) if d < n)
     return CountResult(total, CountKind.LOWER_BOUND, "divisor-cell-sum")
+
+
+@cache
+def _unit_pair_count(m: int) -> int:
+    """Pairs among the units of Z_m, counted once per modulus."""
+    return count_pairs(m, np.gcd(np.arange(m), m) == 1)[1]
 
 
 def count_zero_divisor_closed(n: int) -> CountResult:

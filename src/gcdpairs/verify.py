@@ -9,7 +9,8 @@ Statuses:
               records claimed vs observed values. Expected exactly for the
               two-prime-product clique order (and the coloring bound derived
               from it) whenever q > p^2.
-  NOTED       informational errata entries (documented typos, edge-case gaps).
+  NOTED       informational errata entries (documented typos, edge-case gaps),
+              and any claim whose range holds no case (detail: no case in range).
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .numtheory import (
     is_prime,
     nontrivial_divisors,
     phi_sieve,
+    prime_power_decompose,
     primes_below,
 )
 from .pairs import (
@@ -120,7 +122,8 @@ class VerificationReport:
         return {"schema": 1, "entries": [e.to_json_dict() for e in self.entries]}
 
 
-Runner = Callable[[int, SearchBounds], tuple[str, Status, str]]
+Outcome = tuple[Status, str, int]  # status, details, cases checked (n - 1 over 2..n)
+Runner = Callable[[int, SearchBounds], Outcome]
 
 
 @dataclass(frozen=True)
@@ -129,16 +132,27 @@ class ClaimSpec:
     statement: str
     default_limit: int
     runner: Runner
+    range_label: Callable[..., str]  # called as range_label(limit=...)
+    capped_by: str | None = None  # the SearchBounds field that also caps the limit
 
 
 CLAIMS: list[ClaimSpec] = []
 
 
-def _claim(claim_id: str, statement: str, default_limit: int) -> Callable[[Runner], Runner]:
-    """Register the decorated runner in CLAIMS; definition order is report order."""
+def _claim(
+    claim_id: str,
+    statement: str,
+    default_limit: int,
+    range_label: str | Callable[..., str] = "n <= {limit}",
+    capped_by: str | None = None,
+) -> Callable[[Runner], Runner]:
+    """Register the decorated runner in CLAIMS; definition order is report order.
+    range_label renders a limit as a template over {limit} or as a function;
+    capped_by names the SearchBounds field of the exact search run on each n."""
 
     def register(runner: Runner) -> Runner:
-        CLAIMS.append(ClaimSpec(claim_id, statement, default_limit, runner))
+        label = range_label if callable(range_label) else range_label.format
+        CLAIMS.append(ClaimSpec(claim_id, statement, default_limit, runner, label, capped_by))
         return runner
 
     return register
@@ -163,6 +177,11 @@ def _zero_divisor_pairs(limit: int, n: int) -> int:
     return _table(limit).count(n, classify_elements(n).zero_divisors)
 
 
+@cache
+def _unit_pairs(limit: int, m: int) -> int:
+    return _table(limit).count(m, classify_elements(m).units)
+
+
 def _ring_pair(n: int, a: int, b: int) -> bool:
     # ground-truth predicate, written from the definition on purpose
     g = gcd(a % n, b % n)
@@ -173,7 +192,7 @@ def _ring_pair(n: int, a: int, b: int) -> bool:
 
 
 @_claim("pair-when-divisor", "if a divides n then {a, b} is a gcd-pair for every b", 200)
-def _claim_pair_when_divisor(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
+def _claim_pair_when_divisor(limit: int, bounds: SearchBounds) -> Outcome:
     checked = 0
     for n in range(1, limit + 1):
         for a in divisors(n):
@@ -182,14 +201,14 @@ def _claim_pair_when_divisor(limit: int, bounds: SearchBounds) -> tuple[str, Sta
             for b in range(n):
                 checked += 1
                 if not _ring_pair(n, a, b):
-                    return (f"n <= {limit}", Status.DISCREPANCY, f"fails at n={n}, a={a}, b={b}")
+                    return Status.DISCREPANCY, f"fails at n={n}, a={a}, b={b}", checked
                 if not is_gcd_pair(n, a, b):
-                    return (f"n <= {limit}", Status.FAIL, f"is_gcd_pair(n={n},{a},{b}) is False")
-    return (f"n <= {limit}", Status.PASS, f"{checked} divisor pairs confirmed")
+                    return Status.FAIL, f"is_gcd_pair(n={n},{a},{b}) is False", checked
+    return Status.PASS, f"{checked} divisor pairs confirmed", checked
 
 
 @_claim("unit-pairs-coprime", "a gcd-pair containing a unit has coprime members", 200)
-def _claim_unit_pairs_coprime(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
+def _claim_unit_pairs_coprime(limit: int, bounds: SearchBounds) -> Outcome:
     checked = 0
     for n in range(2, limit + 1):
         units = sorted(classify_elements(n).units)
@@ -199,48 +218,42 @@ def _claim_unit_pairs_coprime(limit: int, bounds: SearchBounds) -> tuple[str, St
         offenders = np.argwhere(paired & (gcds != 1))
         if offenders.size:
             i, b = offenders[0]
-            return (
-                f"n <= {limit}",
-                Status.DISCREPANCY,
-                f"unit pair with gcd > 1 at n={n}, a={units[i]}, b={b}",
-            )
-    return (f"n <= {limit}", Status.PASS, f"{checked} unit pairs all coprime")
+            detail = f"unit pair with gcd > 1 at n={n}, a={units[i]}, b={b}"
+            return Status.DISCREPANCY, detail, checked
+    return Status.PASS, f"{checked} unit pairs all coprime", checked
 
 
 # --- counting formulas ----------------------------------------------------------
 
 
 def _prime_powers_upto(limit: int) -> list[PrimePower]:
-    out = []
-    for p in primes_below(limit + 1):
-        k = 1
-        while p**k <= limit:
-            out.append(PrimePower(p, k))
-            k += 1
-    return sorted(out, key=lambda pp: pp.value)
+    return [pp for n in range(2, limit + 1) if (pp := prime_power_decompose(n)) is not None]
 
 
-@_claim("prime-power-count", "pair count of Z_{p^k} equals k + nested totient sums", 500)
-def _claim_prime_power_count(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
+@_claim(
+    "prime-power-count",
+    "pair count of Z_{p^k} equals k + nested totient sums",
+    500,
+    "p^k <= {limit}",
+)
+def _claim_prime_power_count(limit: int, bounds: SearchBounds) -> Outcome:
     pps = _prime_powers_upto(limit)
-    for pp in pps:
+    for checked, pp in enumerate(pps, 1):
         expected = count_prime_power_formula(pp).value
         actual = _table(limit).count(pp.value)
         if expected != actual:
-            return (
-                f"p^k <= {limit}",
-                Status.FAIL,
-                f"formula {expected} != enumeration {actual} at n={pp.value}",
-            )
-    return (f"p^k <= {limit}", Status.PASS, f"{len(pps)} prime powers match enumeration")
+            detail = f"formula {expected} != enumeration {actual} at n={pp.value}"
+            return Status.FAIL, detail, checked
+    return Status.PASS, f"{len(pps)} prime powers match enumeration", len(pps)
 
 
 @_claim(
     "composite-count-bound",
     "composite n: pair count strictly exceeds 1 + sum phi(1..n-1)",
     500,
+    "composite n <= {limit}",
 )
-def _claim_composite_bound(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
+def _claim_composite_bound(limit: int, bounds: SearchBounds) -> Outcome:
     phi = phi_sieve(limit)
     running = 0
     checked = 0
@@ -252,32 +265,20 @@ def _claim_composite_bound(limit: int, bounds: SearchBounds) -> tuple[str, Statu
         bound = 1 + running  # 1 + sum phi(1..n-1)
         actual = _table(limit).count(n)
         if not actual > bound:
-            return (
-                f"composite n <= {limit}",
-                Status.FAIL,
-                f"count {actual} not above bound {bound} at n={n}",
-            )
-    return (f"composite n <= {limit}", Status.PASS, f"{checked} composites strictly above bound")
+            return Status.FAIL, f"count {actual} not above bound {bound} at n={n}", checked
+    return Status.PASS, f"{checked} composites strictly above bound", checked
 
 
 @_claim("zero-divisor-partition", "the cells S'_d partition the zero divisors", 500)
-def _claim_partition(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
+def _claim_partition(limit: int, bounds: SearchBounds) -> Outcome:
     for n in range(2, limit + 1):
-        part = zero_divisor_partition(n)
-        union: set[int] = set()
-        total = 0
-        for cell in part.cells.values():
-            union |= cell
-            total += len(cell)
-        if total != len(union):
-            return (f"n <= {limit}", Status.DISCREPANCY, f"cells overlap at n={n}")
+        cells = zero_divisor_partition(n).cells.values()
+        union = set().union(*cells)
+        if sum(map(len, cells)) != len(union):
+            return Status.DISCREPANCY, f"cells overlap at n={n}", n - 1
         if union != classify_elements(n).zero_divisors:
-            return (
-                f"n <= {limit}",
-                Status.DISCREPANCY,
-                f"cells do not cover the zero divisors at n={n}",
-            )
-    return (f"n <= {limit}", Status.PASS, "cells are disjoint and cover the zero divisors")
+            return Status.DISCREPANCY, f"cells do not cover the zero divisors at n={n}", n - 1
+    return Status.PASS, "cells are disjoint and cover the zero divisors", limit - 1
 
 
 @_claim(
@@ -285,33 +286,27 @@ def _claim_partition(limit: int, bounds: SearchBounds) -> tuple[str, Status, str
     "zero-divisor pairs dominate the sum of unit-restricted counts over divisors",
     500,
 )
-def _claim_cell_sum_bound(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
+def _claim_cell_sum_bound(limit: int, bounds: SearchBounds) -> Outcome:
     for n in range(2, limit + 1):
         lhs = _zero_divisor_pairs(limit, n)
-        cofactors = [n // d for d in nontrivial_divisors(n) if n // d >= 2]
-        rhs = sum(_table(limit).count(m, classify_elements(m).units) for m in cofactors)
+        rhs = sum(_unit_pairs(limit, n // d) for d in nontrivial_divisors(n) if n // d >= 2)
         if lhs < rhs:
-            return (
-                f"n <= {limit}",
-                Status.DISCREPANCY,
-                f"zero-divisor pairs {lhs} below cell sum {rhs} at n={n}",
-            )
+            detail = f"zero-divisor pairs {lhs} below cell sum {rhs} at n={n}"
+            return Status.DISCREPANCY, detail, n - 1
         formula = divisor_cell_sum_bound(n).value
         if formula != rhs:
-            return (
-                f"n <= {limit}",
-                Status.FAIL,
-                f"divisor_cell_sum_bound {formula} != brute cell sum {rhs} at n={n}",
-            )
-    return (f"n <= {limit}", Status.PASS, "zero-divisor pair count dominates the cell sum")
+            detail = f"divisor_cell_sum_bound {formula} != brute cell sum {rhs} at n={n}"
+            return Status.FAIL, detail, n - 1
+    return Status.PASS, "zero-divisor pair count dominates the cell sum", limit - 1
 
 
 @_claim(
     "semiprime-zero-divisor-bound",
     "for distinct primes: zero-divisor pairs >= |pairs(Z_p)| + |pairs(Z_q)| + p + q - 5",
     500,
+    "pq <= {limit}",
 )
-def _claim_semiprime_bound(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
+def _claim_semiprime_bound(limit: int, bounds: SearchBounds) -> Outcome:
     sample = ""
     checked = 0
     for p in primes_below(limit):
@@ -323,188 +318,174 @@ def _claim_semiprime_bound(limit: int, bounds: SearchBounds) -> tuple[str, Statu
             bound = semiprime_zero_divisor_bound(p, q).value
             actual = _zero_divisor_pairs(limit, n)
             if actual < bound:
-                return (
-                    f"pq <= {limit}",
-                    Status.DISCREPANCY,
-                    f"bound {bound} exceeds actual {actual} at n={n}",
-                )
+                detail = f"bound {bound} exceeds actual {actual} at n={n}"
+                return Status.DISCREPANCY, detail, checked
             if n == 15:
                 sample = f"; n=15 reproduces bound {bound} <= actual {actual}"
-    return (f"pq <= {limit}", Status.PASS, f"{checked} semiprimes respect the bound{sample}")
+    return Status.PASS, f"{checked} semiprimes respect the bound{sample}", checked
+
+
+def _closed_forms_exact(limit: int, moduli: list[int], confirmed: str) -> Outcome:
+    """count_zero_divisor_closed is exact and matches brute force at every n in moduli."""
+    for checked, n in enumerate(moduli, 1):
+        result = count_zero_divisor_closed(n)
+        actual = _zero_divisor_pairs(limit, n)
+        if result.kind is not CountKind.EXACT or result.value != actual:
+            detail = f"closed form {result.value} ({result.kind.value}) != actual {actual} at n={n}"
+            return Status.FAIL, detail, checked
+    return Status.PASS, confirmed.format(len(moduli)), len(moduli)
 
 
 @_claim(
     "double-prime-zero-divisors",
     "n = 2p, p odd: zero-divisor pairs = |pairs(Z_p)| + p - 1 exactly",
     500,
+    "2p <= {limit}",
 )
-def _claim_double_prime(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
-    checked = 0
-    for p in primes_below(limit // 2 + 1):
-        if p == 2:
-            continue
-        n = 2 * p
-        result = count_zero_divisor_closed(n)
-        actual = _zero_divisor_pairs(limit, n)
-        if result.kind is not CountKind.EXACT or result.value != actual:
-            return (
-                f"2p <= {limit}",
-                Status.FAIL,
-                f"closed form {result.value} ({result.kind.value}) != actual {actual} at n={n}",
-            )
-        checked += 1
-    return (f"2p <= {limit}", Status.PASS, f"{checked} values exact")
+def _claim_double_prime(limit: int, bounds: SearchBounds) -> Outcome:
+    moduli = [2 * p for p in primes_below(limit // 2 + 1) if p != 2]
+    return _closed_forms_exact(limit, moduli, "{} values exact")
 
 
 @_claim(
     "triple-prime-zero-divisors",
     "n = 3p, p != 3: zero-divisor pairs = |pairs(Z_p)| + p + ceil((p-1)/2) exactly",
     500,
+    "3p <= {limit}",
 )
-def _claim_triple_prime(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
-    checked = 0
-    for p in primes_below(limit // 3 + 1):
-        if p == 3:
-            continue
-        n = 3 * p
-        result = count_zero_divisor_closed(n)
-        actual = _zero_divisor_pairs(limit, n)
-        if result.kind is not CountKind.EXACT or result.value != actual:
-            return (
-                f"3p <= {limit}",
-                Status.FAIL,
-                f"closed form {result.value} ({result.kind.value}) != actual {actual} at n={n}",
-            )
-        checked += 1
-    return (f"3p <= {limit}", Status.PASS, f"{checked} values exact")
+def _claim_triple_prime(limit: int, bounds: SearchBounds) -> Outcome:
+    moduli = [3 * p for p in primes_below(limit // 3 + 1) if p != 3]
+    return _closed_forms_exact(limit, moduli, "{} values exact")
 
 
 @_claim(
     "prime-power-zero-divisors",
     "n = p^k: zero-divisor pairs = |pairs(Z_{p^(k-1)})| - k + 1 (0 for primes)",
     500,
+    "p^k <= {limit}",
 )
-def _claim_prime_power_zero_divisors(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
-    pps = _prime_powers_upto(limit)
-    for pp in pps:
-        n = pp.value
-        result = count_zero_divisor_closed(n)
-        actual = _zero_divisor_pairs(limit, n)
-        if result.kind is not CountKind.EXACT or result.value != actual:
-            return (
-                f"p^k <= {limit}",
-                Status.FAIL,
-                f"closed form {result.value} != actual {actual} at n={n}",
-            )
-    return (f"p^k <= {limit}", Status.PASS, f"{len(pps)} prime powers exact (primes give 0)")
+def _claim_prime_power_zero_divisors(limit: int, bounds: SearchBounds) -> Outcome:
+    moduli = [pp.value for pp in _prime_powers_upto(limit)]
+    return _closed_forms_exact(limit, moduli, "{} prime powers exact (primes give 0)")
 
 
 # --- graph propositions ---------------------------------------------------------
 
 
-@_claim("subgraph-embedding", "G_m embeds identically in G_n whenever m divides n", 200)
-def _claim_embedding(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
+@_claim(
+    "subgraph-embedding",
+    "G_m embeds identically in G_n whenever m divides n",
+    200,
+    "m|n <= {limit}",
+)
+def _claim_embedding(limit: int, bounds: SearchBounds) -> Outcome:
     checked = 0
     for n in range(1, limit + 1):
         for m in divisors(n):
             if m == n:
                 continue
-            if not embedding_check(_graph(m), _graph(n))[0]:
-                return (f"m|n <= {limit}", Status.FAIL, f"G_{m} does not embed in G_{n}")
             checked += 1
-    return (f"m|n <= {limit}", Status.PASS, f"{checked} divisor embeddings verified")
+            if not embedding_check(_graph(m), _graph(n))[0]:
+                return Status.FAIL, f"G_{m} does not embed in G_{n}", checked
+    return Status.PASS, f"{checked} divisor embeddings verified", checked
 
 
 @_claim("star-subgraph", "a maximal star of order n centers at vertex 1", 200)
-def _claim_star(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
+def _claim_star(limit: int, bounds: SearchBounds) -> Outcome:
     for n in range(2, limit + 1):
         w = star_subgraph(_graph(n))  # raises if any spoke is missing
         if w.center != 1 or len(w.leaves) != n - 1:
-            return (f"n <= {limit}", Status.FAIL, f"star at n={n} malformed")
-    return (f"n <= {limit}", Status.PASS, "vertex 1 centers a full star in every graph")
+            return Status.FAIL, f"star at n={n} malformed", n - 1
+    return Status.PASS, "vertex 1 centers a full star in every graph", limit - 1
 
 
 @_claim("domination-number", "the domination number is 1", 200)
-def _claim_domination(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
+def _claim_domination(limit: int, bounds: SearchBounds) -> Outcome:
     for n in range(2, limit + 1):
         gamma, witness = domination_number(_graph(n))
         if gamma != 1 or witness != frozenset({1}):
-            return (f"n <= {limit}", Status.FAIL, f"domination ({gamma}, {sorted(witness)}) at n={n}")
+            return Status.FAIL, f"domination ({gamma}, {sorted(witness)}) at n={n}", n - 1
         if n <= oracle.MAX_DOMINATION_N and oracle.exhaustive_domination(_graph(n)) != 1:
-            return (f"n <= {limit}", Status.FAIL, f"oracle domination differs at n={n}")
-    return (f"n <= {limit}", Status.PASS, "domination number 1 with witness {1} everywhere")
+            return Status.FAIL, f"oracle domination differs at n={n}", n - 1
+    return Status.PASS, "domination number 1 with witness {1} everywhere", limit - 1
 
 
 @_claim("connectivity", "G_n is connected", 200)
-def _claim_connectivity(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
+def _claim_connectivity(limit: int, bounds: SearchBounds) -> Outcome:
     for n in range(1, limit + 1):
         if not is_connected(_graph(n)):
-            return (f"n <= {limit}", Status.FAIL, f"G_{n} not connected")
-    return (f"n <= {limit}", Status.PASS, "every graph connected")
+            return Status.FAIL, f"G_{n} not connected", n
+    return Status.PASS, "every graph connected", limit
 
 
 @_claim("triangle-threshold", "triangles exist exactly for n >= 4", 200)
-def _claim_triangles(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
+def _claim_triangles(limit: int, bounds: SearchBounds) -> Outcome:
     for n in range(1, limit + 1):
         g = _graph(n)
         present = has_triangle(g) is not None
         if present != (n >= 4):
-            return (f"n <= {limit}", Status.FAIL, f"triangle presence wrong at n={n}")
+            return Status.FAIL, f"triangle presence wrong at n={n}", n
         if n <= 30:  # independent brute scan on the small range
             brute = any(
                 _ring_pair(n, a, b) and _ring_pair(n, b, c) and _ring_pair(n, a, c)
                 for a, b, c in combinations(range(n), 3)
             )
             if brute != present:
-                return (f"n <= {limit}", Status.FAIL, f"brute triangle scan differs at n={n}")
-    return (f"n <= {limit}", Status.PASS, "triangles exist exactly for n >= 4")
+                return Status.FAIL, f"brute triangle scan differs at n={n}", n
+    return Status.PASS, "triangles exist exactly for n >= 4", limit
 
 
 @_claim("traceable", "(0, 1, ..., n-1) is a Hamiltonian path", 200)
-def _claim_traceable(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
+def _claim_traceable(limit: int, bounds: SearchBounds) -> Outcome:
     for n in range(2, limit + 1):
         hamiltonian_path(_graph(n))  # validates (0, 1, ..., n-1) edge by edge
-    return (f"n <= {limit}", Status.PASS, "canonical path (0,...,n-1) valid in every graph")
+    return Status.PASS, "canonical path (0,...,n-1) valid in every graph", limit - 1
 
 
-@_claim("hamiltonian-even", "even n > 2: (0, 2, 3, ..., n-1, 1) is a Hamiltonian cycle", 200)
-def _claim_hamiltonian_even(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
-    for n in range(4, limit + 1, 2):
+@_claim(
+    "hamiltonian-even",
+    "even n > 2: (0, 2, 3, ..., n-1, 1) is a Hamiltonian cycle",
+    200,
+    "even n <= {limit}",
+)
+def _claim_hamiltonian_even(limit: int, bounds: SearchBounds) -> Outcome:
+    moduli = range(4, limit + 1, 2)
+    for checked, n in enumerate(moduli, 1):
         res = hamiltonian_cycle(_graph(n))
         if res.cycle is None:
-            return (f"even n <= {limit}", Status.FAIL, f"no constructive cycle at n={n}")
+            return Status.FAIL, f"no constructive cycle at n={n}", checked
         if n <= oracle.MAX_CYCLE_N:
             found, _ = oracle.exhaustive_hamiltonian(_graph(n))
             if found is None:
-                return (f"even n <= {limit}", Status.FAIL, f"oracle finds no cycle at n={n}")
-    return (f"even n <= {limit}", Status.PASS, "constructive Hamiltonian cycle validates")
+                return Status.FAIL, f"oracle finds no cycle at n={n}", checked
+    return Status.PASS, "constructive Hamiltonian cycle validates", len(moduli)
 
 
-@_claim("longest-cycle-odd", "odd n: no Hamiltonian cycle; maximum cycle order is n - 1", 15)
-def _claim_longest_cycle_odd(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
-    limit = min(limit, oracle.MAX_CYCLE_N)
-    for n in range(5, limit + 1, 2):
+# the default limit is oracle.MAX_CYCLE_N, which the exhaustive search accepts
+@_claim(
+    "longest-cycle-odd",
+    "odd n: no Hamiltonian cycle; maximum cycle order is n - 1",
+    15,
+    "odd 5 <= n <= {limit}",
+)
+def _claim_longest_cycle_odd(limit: int, bounds: SearchBounds) -> Outcome:
+    moduli = range(5, limit + 1, 2)
+    for checked, n in enumerate(moduli, 1):
         g = _graph(n)
         longest_cycle_constructive(g)  # validates the (1,...,n-1) cycle
         ham, longest = oracle.exhaustive_hamiltonian(g)
         if ham is not None:
-            return (f"odd 5 <= n <= {limit}", Status.FAIL, f"unexpected Hamiltonian cycle at n={n}")
+            return Status.FAIL, f"unexpected Hamiltonian cycle at n={n}", checked
         if longest != n - 1:
-            return (
-                f"odd 5 <= n <= {limit}",
-                Status.FAIL,
-                f"longest cycle {longest} != {n - 1} at n={n}",
-            )
-    return (
-        f"odd 5 <= n <= {limit}",
-        Status.PASS,
-        "no Hamiltonian cycle and maximum cycle order n-1",
-    )
+            return Status.FAIL, f"longest cycle {longest} != {n - 1} at n={n}", checked
+    return Status.PASS, "no Hamiltonian cycle and maximum cycle order n-1", len(moduli)
 
 
 # --- cliques, planarity, coloring -------------------------------------------------
 
-_TWO_PRIME_PRODUCTS = (6, 10, 14, 15, 21, 22, 26, 33)
+
+def _two_prime_products(limit: int) -> list[int]:
+    return [n for n in (6, 10, 14, 15, 21, 22, 26, 33) if n <= limit]
 
 
 def _two_prime_parameters(n: int) -> tuple[int, int, int, int]:
@@ -526,10 +507,8 @@ def _is_ring_clique(n: int, vertices: list[int]) -> bool:
 def _observed_omega(n: int, bounds: SearchBounds) -> int:
     g = _graph(n)
     size = len(max_clique(g, bounds).vertices)
-    if n <= oracle.MAX_CLIQUE_N:
-        oracle_size = len(oracle.exhaustive_max_clique(g).vertices)
-        if oracle_size != size:
-            raise AssertionError(f"clique search disagrees with oracle at n={n}")
+    if n <= oracle.MAX_CLIQUE_N and len(oracle.exhaustive_max_clique(g).vertices) != size:
+        raise AssertionError(f"clique search disagrees with oracle at n={n}")
     return size
 
 
@@ -537,11 +516,11 @@ def _observed_omega(n: int, bounds: SearchBounds) -> int:
     "clique-two-prime-product",
     "n = pq: a maximal clique of order m+k+2 (suspect for q > p^2)",
     33,
+    lambda limit: f"n in {_two_prime_products(limit)}",
+    capped_by="clique_exact",
 )
-def _claim_clique_two_prime(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
-    tested = [v for v in _TWO_PRIME_PRODUCTS if v <= limit]
-    if not tested:
-        return ("n in []", Status.NOTED, f"no two-prime product n <= {limit} in range")
+def _claim_clique_two_prime(limit: int, bounds: SearchBounds) -> Outcome:
+    tested = _two_prime_products(limit)
     rows = []
     bad = False
     for n in tested:
@@ -564,7 +543,7 @@ def _claim_clique_two_prime(limit: int, bounds: SearchBounds) -> tuple[str, Stat
                 f"largest valid construction {constructed}, observed maximum {observed}"
             )
     status = Status.DISCREPANCY if bad else Status.PASS
-    return (f"n in {tested}", status, "; ".join(rows))
+    return status, "; ".join(rows), len(tested)
 
 
 def _prime_power_clique_order(pp: PrimePower) -> int:
@@ -575,35 +554,44 @@ def _prime_power_clique_order(pp: PrimePower) -> int:
     return m + pp.k
 
 
-@_claim("clique-prime-power", "n = p^k: a maximal clique of order m+k (k+1 when n = 2)", 40)
-def _claim_clique_prime_power(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
-    checked = 0
-    for pp in _prime_powers_upto(limit):
+@_claim(
+    "clique-prime-power",
+    "n = p^k: a maximal clique of order m+k (k+1 when n = 2)",
+    40,
+    "p^k <= {limit}",
+    capped_by="clique_exact",
+)
+def _claim_clique_prime_power(limit: int, bounds: SearchBounds) -> Outcome:
+    pps = _prime_powers_upto(limit)
+    for checked, pp in enumerate(pps, 1):
         n = pp.value
         expected = _prime_power_clique_order(pp)
         witness = clique_construction(n)
         if len(witness.vertices) != expected or not witness.maximal:
-            return (
-                f"p^k <= {limit}",
-                Status.FAIL,
+            detail = (
                 f"construction order {len(witness.vertices)} (maximal={witness.maximal}) "
-                f"!= {expected} at n={n}",
+                f"!= {expected} at n={n}"
             )
+            return Status.FAIL, detail, checked
         if _observed_omega(n, bounds) < expected:
-            return (f"p^k <= {limit}", Status.FAIL, f"maximum clique below {expected} at n={n}")
-        checked += 1
-    return (f"p^k <= {limit}", Status.PASS, f"{checked} prime powers give maximal order m+k")
+            return Status.FAIL, f"maximum clique below {expected} at n={n}", checked
+    return Status.PASS, f"{len(pps)} prime powers give maximal order m+k", len(pps)
 
 
-@_claim("clique-prime-count", "1 together with the primes below n is a clique of order m+1", 40)
-def _claim_clique_prime_count(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
+@_claim(
+    "clique-prime-count",
+    "1 together with the primes below n is a clique of order m+1",
+    40,
+    capped_by="clique_exact",
+)
+def _claim_clique_prime_count(limit: int, bounds: SearchBounds) -> Outcome:
     for n in range(2, limit + 1):
         base = [1, *primes_below(n)]
         if not _is_ring_clique(n, base):
-            return (f"n <= {limit}", Status.FAIL, f"1 + primes not a clique at n={n}")
+            return Status.FAIL, f"1 + primes not a clique at n={n}", n - 1
         if _observed_omega(n, bounds) < len(base):
-            return (f"n <= {limit}", Status.FAIL, f"maximum clique below {len(base)} at n={n}")
-    return (f"n <= {limit}", Status.PASS, "clique on 1 and the primes below n everywhere")
+            return Status.FAIL, f"maximum clique below {len(base)} at n={n}", n - 1
+    return Status.PASS, "clique on 1 and the primes below n everywhere", limit - 1
 
 
 def _has_k5(n: int) -> bool:
@@ -615,58 +603,59 @@ def _has_k5(n: int) -> bool:
 
 
 @_claim("k5-threshold", "a K5 subgraph exists exactly for n >= 6, n != 7", 60)
-def _claim_k5(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
+def _claim_k5(limit: int, bounds: SearchBounds) -> Outcome:
     for n in range(2, limit + 1):
         if _has_k5(n) != (n >= 6 and n != 7):
-            return (f"n <= {limit}", Status.FAIL, f"K5 presence wrong at n={n}")
-    return (f"n <= {limit}", Status.PASS, "K5 exists exactly for n >= 6, n != 7")
+            return Status.FAIL, f"K5 presence wrong at n={n}", n - 1
+    return Status.PASS, "K5 exists exactly for n >= 6, n != 7", limit - 1
 
 
 @_claim("planarity-threshold", "G_n is planar exactly for n <= 7, n != 6", 30)
-def _claim_planarity(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
+def _claim_planarity(limit: int, bounds: SearchBounds) -> Outcome:
     for n in range(2, limit + 1):
         g = _graph(n)
         planar = is_planar(g)
         if planar != (n <= 7 and n != 6):
-            return (f"n <= {limit}", Status.FAIL, f"planarity wrong at n={n}")
-        edges = g.edge_count()
-        if n >= 3 and edges > 3 * n - 6 and planar:
-            return (f"n <= {limit}", Status.FAIL, f"planar verdict violates edge bound at n={n}")
+            return Status.FAIL, f"planarity wrong at n={n}", n - 1
+        if n >= 3 and g.edge_count() > 3 * n - 6 and planar:
+            return Status.FAIL, f"planar verdict violates edge bound at n={n}", n - 1
         if _has_k5(n) and planar:
-            return (f"n <= {limit}", Status.FAIL, f"planar verdict despite K5 at n={n}")
-    return (f"n <= {limit}", Status.PASS, "planar exactly for n <= 7, n != 6")
+            return Status.FAIL, f"planar verdict despite K5 at n={n}", n - 1
+    return Status.PASS, "planar exactly for n <= 7, n != 6", limit - 1
 
 
 _SMALL_CHROMATIC = {2: 2, 3: 2, 4: 3, 5: 3, 6: 5, 7: 4}
 
 
-@_claim("chromatic-small", "chromatic numbers of G_2..G_7 are 2, 2, 3, 3, 5, 4", 7)
-def _claim_chromatic_small(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
-    span = f"2 <= n <= {limit}"
-    checked = {n: expected for n, expected in _SMALL_CHROMATIC.items() if n <= limit}
-    if not checked:
-        return (span, Status.NOTED, f"no n <= {limit} in range")
-    for n, expected in checked.items():
+@_claim(
+    "chromatic-small",
+    "chromatic numbers of G_2..G_7 are 2, 2, 3, 3, 5, 4",
+    7,
+    "2 <= n <= {limit}",
+    capped_by="chromatic_exact",
+)
+def _claim_chromatic_small(limit: int, bounds: SearchBounds) -> Outcome:
+    tested = {n: expected for n, expected in _SMALL_CHROMATIC.items() if n <= limit}
+    for checked, (n, expected) in enumerate(tested.items(), 1):
         g = _graph(n)
         exact = chromatic_number(g, bounds).color_count
         if exact != expected:
-            return (span, Status.FAIL, f"chromatic {exact} != {expected} at n={n}")
+            return Status.FAIL, f"chromatic {exact} != {expected} at n={n}", checked
         if oracle.exhaustive_chromatic(g) != expected:
-            return (span, Status.FAIL, f"oracle chromatic differs at n={n}")
-    values = ",".join(map(str, checked.values()))
-    return (span, Status.PASS, f"chromatic numbers {values} confirmed")
+            return Status.FAIL, f"oracle chromatic differs at n={n}", checked
+    values = ",".join(map(str, tested.values()))
+    return Status.PASS, f"chromatic numbers {values} confirmed", len(tested)
 
 
 @_claim(
     "chromatic-two-prime-bound",
     "n = pq: chromatic number >= m+k+2 (inherits the suspect clique order)",
     33,
+    lambda limit: f"n in {_two_prime_products(limit)}",
+    capped_by="chromatic_exact",
 )
-def _claim_chromatic_two_prime(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
-    cap = min(limit, bounds.chromatic_exact)
-    tested = [v for v in _TWO_PRIME_PRODUCTS if v <= cap]
-    if not tested:
-        return ("n in []", Status.NOTED, f"no two-prime product n <= {cap} in range")
+def _claim_chromatic_two_prime(limit: int, bounds: SearchBounds) -> Outcome:
+    tested = _two_prime_products(limit)
     rows = []
     bad = False
     for n in tested:
@@ -679,64 +668,69 @@ def _claim_chromatic_two_prime(limit: int, bounds: SearchBounds) -> tuple[str, S
             bad = True
             rows.append(f"n={n}: claimed lower bound {claimed} exceeds chromatic {actual}")
     status = Status.DISCREPANCY if bad else Status.PASS
-    return (f"n in {tested}", status, "; ".join(rows))
+    return status, "; ".join(rows), len(tested)
 
 
-@_claim("chromatic-prime-bounds", "chromatic number >= m+k for n = p^k and >= m+1 in general", 16)
-def _claim_chromatic_prime_bounds(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
-    cap = min(limit, bounds.chromatic_exact)
-    for pp in _prime_powers_upto(cap):
-        n = pp.value
-        bound = _prime_power_clique_order(pp)
-        actual = chromatic_number(_graph(n), bounds).color_count
-        if actual < bound:
-            return (f"n <= {cap}", Status.FAIL, f"chromatic {actual} below m+k={bound} at n={n}")
-    for n in range(2, min(cap, oracle.MAX_CHROMATIC_N) + 1):
-        bound = len(primes_below(n)) + 1
-        actual = oracle.exhaustive_chromatic(_graph(n))
-        if actual < bound:
-            return (f"n <= {cap}", Status.FAIL, f"chromatic {actual} below m+1={bound} at n={n}")
-    return (f"n <= {cap}", Status.PASS, "prime-power and prime-count lower bounds hold")
+@_claim(
+    "chromatic-prime-bounds",
+    "chromatic number >= m+k for n = p^k and >= m+1 in general",
+    16,
+    capped_by="chromatic_exact",
+)
+def _claim_chromatic_prime_bounds(limit: int, bounds: SearchBounds) -> Outcome:
+    for n in range(2, limit + 1):
+        pp = prime_power_decompose(n)
+        if pp is not None:
+            bound = _prime_power_clique_order(pp)
+            actual = chromatic_number(_graph(n), bounds).color_count
+            if actual < bound:
+                return Status.FAIL, f"chromatic {actual} below m+k={bound} at n={n}", n - 1
+        if n <= oracle.MAX_CHROMATIC_N:
+            bound = len(primes_below(n)) + 1
+            actual = oracle.exhaustive_chromatic(_graph(n))
+            if actual < bound:
+                return Status.FAIL, f"chromatic {actual} below m+1={bound} at n={n}", n - 1
+    return Status.PASS, "prime-power and prime-count lower bounds hold", limit - 1
 
 
 # --- errata -------------------------------------------------------------------
 
 
-@_claim("errata-zero-divisors-mod-8", "documented typo: the zero divisors of Z_8", 8)
-def _claim_errata_z8(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
+@_claim("errata-zero-divisors-mod-8", "documented typo: the zero divisors of Z_8", 8, "n = 8")
+def _claim_errata_z8(limit: int, bounds: SearchBounds) -> Outcome:
     actual = sorted(classify_elements(8).zero_divisors)
     if actual != [2, 4, 6]:
-        return ("n = 8", Status.FAIL, f"zero divisors of Z_8 computed as {actual}")
+        return Status.FAIL, f"zero divisors of Z_8 computed as {actual}", 1
     return (
-        "n = 8",
         Status.NOTED,
         "zero divisors of Z_8 are {2,4,6}; the worked example's set {2,3,6} is a typo "
         "(3 is a unit mod 8; the example's own pair list uses 4)",
+        1,
     )
 
 
-@_claim("errata-units-mod-9", "documented typo: the units of Z_9", 9)
-def _claim_errata_u9(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
+@_claim("errata-units-mod-9", "documented typo: the units of Z_9", 9, "n = 9")
+def _claim_errata_u9(limit: int, bounds: SearchBounds) -> Outcome:
     actual = sorted(classify_elements(9).units)
     if actual != [1, 2, 4, 5, 7, 8]:
-        return ("n = 9", Status.FAIL, f"units of Z_9 computed as {actual}")
+        return Status.FAIL, f"units of Z_9 computed as {actual}", 1
     return (
-        "n = 9",
         Status.NOTED,
         "units of Z_9 are {1,2,4,5,7,8}; the stated variant includes 0, which is never a unit",
+        1,
     )
 
 
-@_claim("errata-odd-cycle-small", "edge case: the odd maximal-cycle claim at n = 3", 3)
-def _claim_errata_n3_cycle(limit: int, bounds: SearchBounds) -> tuple[str, Status, str]:
+@_claim("errata-odd-cycle-small", "edge case: the odd maximal-cycle claim at n = 3", 3, "n = 3")
+def _claim_errata_n3_cycle(limit: int, bounds: SearchBounds) -> Outcome:
     _, longest = oracle.exhaustive_hamiltonian(_graph(3))
     if longest != 0:
-        return ("n = 3", Status.FAIL, f"G_3 unexpectedly contains a cycle of order {longest}")
+        return Status.FAIL, f"G_3 unexpectedly contains a cycle of order {longest}", 1
     return (
-        "n = 3",
         Status.NOTED,
         "the odd-case maximal cycle of order n-1 degenerates at n=3 (order 2 is not a "
         "cycle); the claim applies for odd n >= 5",
+        1,
     )
 
 
@@ -746,23 +740,23 @@ def run_verification(
     bounds: SearchBounds = DEFAULT_BOUNDS,
 ) -> VerificationReport:
     """Run every claim, or with `claims` only those whose id contains one of its
-    substrings (an empty list selects none), optionally capping enumeration
-    ranges at max_n."""
+    substrings (an empty list selects none), up to the least of its default
+    limit, max_n and the search bound capping it. A PASS or DISCREPANCY over no
+    case checked nothing, so it is reported as NOTED."""
     if max_n is not None and max_n < 2:
         raise ValueError(f"max_n must be >= 2, got {max_n}")
     entries = []
     for spec in CLAIMS:
         if claims is not None and not any(f in spec.claim_id for f in claims):
             continue
-        limit = spec.default_limit if max_n is None else min(spec.default_limit, max_n)
-        range_tested, status, details = spec.runner(limit, bounds)
-        entries.append(
-            ClaimResult(
-                claim_id=spec.claim_id,
-                statement=spec.statement,
-                range_tested=range_tested,
-                status=status,
-                details=details,
-            )
-        )
+        limit = spec.default_limit
+        if max_n is not None:
+            limit = min(limit, max_n)
+        if spec.capped_by is not None:
+            limit = min(limit, getattr(bounds, spec.capped_by))
+        status, details, cases = spec.runner(limit, bounds)
+        if cases == 0 and status in (Status.PASS, Status.DISCREPANCY):
+            status, details = Status.NOTED, "no case in range"
+        label = spec.range_label(limit=limit)
+        entries.append(ClaimResult(spec.claim_id, spec.statement, label, status, details))
     return VerificationReport(entries=entries)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -324,11 +325,12 @@ def test_list_output_digests(capsys):
 
 
 # stdout sha256 of `gcdpairs verify ...`, recorded when the claims were listed
-# in a table apart from their runners and every claim built its own graphs.
+# in a table apart from their runners and every claim built its own graphs;
+# `--max-n 3` was recorded once every claim over no case reported NOTED.
 VERIFY_DIGESTS = {
     (): "8d7bc8cf90e2a0ae94d2c99b0a7d007f4e2db7bce4cdff8add19cfc40d322264",
     ("--max-n", "40"): "94e3d8fe3e1a804c029dd16846942575ee16aa383731cdbce227d6141f74ab28",
-    ("--max-n", "3"): "6559d661ed6b63df00eebc541f0bc52c8de55174c4208339122858971b37644f",
+    ("--max-n", "3"): "2b8693c0e72c4a42dcb44510886a1175e8cb46ce6ff181ccbe8112d0d65ee427",
     ("--max-n", "12", "--json"): "b5b4ec8bb4612bb6183b07dcdab5d158703f5ce6c27bf6da48772e3c49b77916",
 }
 
@@ -348,6 +350,21 @@ def test_count_formulas_use_no_trial_division():
     assert numtheory.euler_phi.cache_info().currsize == 0
 
 
+NOTED_BELOW_FOUR = [
+    "composite-count-bound",
+    "semiprime-zero-divisor-bound",
+    "double-prime-zero-divisors",
+    "triple-prime-zero-divisors",
+    "hamiltonian-even",
+    "longest-cycle-odd",
+    "clique-two-prime-product",
+    "chromatic-two-prime-bound",
+    "errata-zero-divisors-mod-8",
+    "errata-units-mod-9",
+    "errata-odd-cycle-small",
+]
+
+
 def test_verify_entries_that_check_nothing_are_noted(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "3")
     assert code == 0
@@ -355,11 +372,18 @@ def test_verify_entries_that_check_nothing_are_noted(capsys):
     for claim in ("clique-two-prime-product", "chromatic-two-prime-bound"):
         (line,) = [line for line in lines if f"] {claim} " in line]
         assert line.startswith("[NOTED      ]"), line
-        assert line.endswith("n in []         no two-prime product n <= 3 in range"), line
+        assert line.endswith("n in []         no case in range"), line
     (line,) = [line for line in lines if "] chromatic-small " in line]
     assert line.startswith("[PASS       ]"), line
     assert line.endswith("2 <= n <= 3     chromatic numbers 2,2 confirmed"), line
-    assert lines[-1] == "summary: 24 pass, 0 fail, 0 discrepancy, 5 noted"
+    assert lines[-1] == "summary: 18 pass, 0 fail, 0 discrepancy, 11 noted"
+    for max_n in ("2", "3"):
+        _, out, _ = run(capsys, "verify", "--max-n", max_n, "--json")
+        noted = [e for e in json.loads(out)["entries"] if e["status"] == "noted"]
+        assert [e["claim"] for e in noted] == NOTED_BELOW_FOUR
+        assert {e["details"] for e in noted[:-3]} == {"no case in range"}  # all but errata
+        _, out, _ = run(capsys, "verify", "--max-n", max_n)
+        assert out.splitlines()[-1] == "summary: 18 pass, 0 fail, 0 discrepancy, 11 noted"
     _, out, _ = run(capsys, "verify", "--max-n", "3", "--claims", "two-prime", "--json")
     entries = json.loads(out)["entries"]
     assert [e["status"] for e in entries] == ["noted", "noted"]
@@ -374,6 +398,17 @@ def test_bad_max_exact_is_a_usage_error(monkeypatch, capsys):
             assert err.count("\n") == 1 and f"GCDPAIRS_MAX_EXACT must be an integer >= 1, got {raw!r}" in err
         code, _, _ = run(capsys, "graph", "6")  # the bounds are read only under --analyze
         assert code == 0
+
+
+def test_verify_caps_exact_searches_at_the_env_bound(monkeypatch, capsys):
+    for bound in (1, 5, 20):
+        monkeypatch.setenv("GCDPAIRS_MAX_EXACT", str(bound))
+        code, out, err = run(capsys, "verify", "--json")
+        assert code == 0 and err == "", bound
+        for e in json.loads(out)["entries"]:
+            if e["claim"].startswith(("clique-", "chromatic-")):
+                numbers = re.findall(r"\d+", e["range"])  # "n <= 5", "n in [6, 10]", "n in []"
+                assert not numbers or int(numbers[-1]) <= bound, (bound, e["claim"], e["range"])
 
 
 def test_verify_rejects_a_range_that_checks_nothing(capsys):
@@ -414,3 +449,16 @@ def test_closed_pipe_exits_2_without_traceback():
 def test_cli_import_leaves_networkx_unloaded():
     check = "import sys, gcdpairs.cli; assert 'networkx' not in sys.modules"
     subprocess.run([sys.executable, "-c", check], env=_subprocess_env(), check=True)
+
+
+def test_invariant_table_output_digest():
+    # the script reads GCDPAIRS_MAX_EXACT; the digest is for the default search bounds
+    env = {k: v for k, v in _subprocess_env().items() if k != "GCDPAIRS_MAX_EXACT"}
+    script = Path(__file__).resolve().parents[1] / "scripts" / "invariant_table.py"
+    out = subprocess.run(
+        [sys.executable, str(script), "--start", "2", "--stop", "30"],
+        env=env, capture_output=True, check=True, timeout=120,
+    ).stdout
+    assert hashlib.sha256(out).hexdigest() == (
+        "c77016c275b796c95865dbc326dc2fc087d0cdd0e9696b8aa99e2132f21461db"
+    )

@@ -3,7 +3,7 @@
 import pytest
 
 from gcdpairs import oracle, verify
-from gcdpairs.verify import CLAIMS, Status, run_verification
+from gcdpairs.verify import CLAIMS, ClaimSpec, Status, run_verification
 
 EXPECTED_CLAIM_IDS = [
     "pair-when-divisor",
@@ -130,3 +130,30 @@ def test_a_wrong_table_gcd_fails_the_counting_claims(monkeypatch):
     report = run_verification(max_n=40, claims=["prime-power-count", "prime-power-zero-divisors"])
     assert [e.status for e in report.entries] == [Status.FAIL, Status.FAIL]
     assert "at n=8" in report.entries[0].details
+
+
+@pytest.mark.parametrize(
+    "status, cases, reported",
+    [
+        (Status.PASS, 0, Status.NOTED),
+        (Status.DISCREPANCY, 0, Status.NOTED),
+        (Status.FAIL, 0, Status.FAIL),
+        (Status.PASS, 1, Status.PASS),
+        (Status.DISCREPANCY, 1, Status.DISCREPANCY),
+    ],
+)
+def test_an_outcome_over_no_case_is_noted(monkeypatch, status, cases, reported):
+    seen = []
+
+    def runner(limit, bounds):
+        seen.append(limit)
+        return status, "runner detail", cases
+
+    fake = ClaimSpec("fake-claim", "stub", 7, runner, "p^k <= {limit}".format, "chromatic_exact")
+    monkeypatch.setattr(verify, "CLAIMS", [fake])
+    bounds = verify.SearchBounds(clique_exact=1, chromatic_exact=5)
+    (entry,) = run_verification(max_n=6, bounds=bounds).entries
+    assert seen == [5]  # the least of the default limit, max_n and the capping bound
+    assert entry.range_tested == "p^k <= 5"
+    assert entry.status is reported
+    assert entry.details == ("no case in range" if reported is Status.NOTED else "runner detail")
