@@ -313,6 +313,9 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"gcdpairs {args.command}: output pipe closed", file=sys.stderr)
         return 2
+    except MemoryError:
+        print(f"gcdpairs {args.command}: input too large for memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
 """Elementary number theory backing the pair-counting formulas.
 
-Everything here works on plain nonnegative Python ints (desk scale; trial
-division only, no probabilistic primality). The one convention that matters
-downstream: gcd(0, 0) == 0, and 0 divides no positive modulus, so the pair
-{0, 0} is never a gcd-pair.
+Single values are plain nonnegative Python ints (desk scale; trial division,
+no probabilistic primality), and tables over 0..limit come from numpy sieves.
+The one convention that matters downstream: gcd(0, 0) == 0, and 0 divides
+no positive modulus, so the pair {0, 0} is never a gcd-pair.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 
 def gcd(a: int, b: int) -> int:
@@ -75,18 +77,35 @@ def phi_partial_sum(limit: int) -> int:
     """Summatory totient: sum of phi(j) for 1 <= j <= limit (0 for limit = 0)."""
     if limit < 0:
         raise ValueError(f"phi_partial_sum requires limit >= 0, got {limit}")
-    return sum(phi_sieve(limit))
+    return int(phi_sieve(limit).sum())
 
 
-def phi_sieve(limit: int) -> list[int]:
-    """phi(0..limit) in one sieve pass, with phi(0) = 0; every totient sum uses
-    it. Must agree with euler_phi everywhere (tested)."""
-    phi = list(range(limit + 1))
-    for p in range(2, limit + 1):
-        if phi[p] == p:  # p untouched so far, hence prime
-            for multiple in range(p, limit + 1, p):
-                phi[multiple] -= phi[multiple] // p
+def phi_sieve(limit: int) -> np.ndarray:
+    """phi(0..limit) as int64, with phi(0) = 0; every totient sum uses it. Must
+    agree with euler_phi everywhere (tested).
+
+    Only the primes p <= sqrt(limit) are sieved. Dividing them out of each m
+    leaves 1 or the one prime factor of m above sqrt(limit), applied last."""
+    phi = np.arange(limit + 1, dtype=np.int64)
+    rest = phi.copy()
+    for p in primes_below(math.isqrt(limit) + 1):
+        phi[::p] -= phi[::p] // p
+        power = p
+        while power <= limit:
+            rest[::power] //= p
+            power *= p
+    large = rest > 1
+    phi[large] -= phi[large] // rest[large]
     return phi
+
+
+def smallest_prime_factors(limit: int) -> list[int]:
+    """spf[m] is the least prime factor of m for 2 <= m <= limit (spf[0] = 0,
+    spf[1] = 1), sieved by the primes p <= sqrt(limit)."""
+    spf = np.arange(limit + 1)
+    for p in reversed(primes_below(math.isqrt(limit) + 1)):
+        spf[p * p :: p] = p  # descending, so the least prime writes last
+    return spf.tolist()
 
 
 def divisors(n: int) -> list[int]:

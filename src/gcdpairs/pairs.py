@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple
 
@@ -25,6 +24,7 @@ from .numtheory import (
     phi_partial_sum,
     phi_sieve,
     prime_power_decompose,
+    smallest_prime_factors,
 )
 
 
@@ -129,14 +129,29 @@ def is_gcd_pair(n: int, x: int, y: int) -> bool:
 
 def row_masks(n: int) -> Iterator[tuple[int, np.ndarray]]:
     """(a, mask) for every a < n: mask[i] is true exactly when {a, a + i} is a
-    gcd-pair. A row with a | n is all true and needs no gcd (gcd(a, b) | a | n);
-    the a = 0 row marks the divisors of n."""
+    gcd-pair; the a = 0 row marks the divisors of n.
+
+    gcd(a, b) fails to divide n exactly when some prime p has p^(v_p(n) + 1)
+    dividing both a and b, and the primes with v_p(a) > v_p(n) are those of
+    a / gcd(a, n). Such an m = p^(v_p(n) + 1) divides a, so it divides a + i
+    exactly when m | i: row a clears every m-th cell from cell 0, and a row
+    with a | n stays all true."""
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
-    ar = np.arange(n)
-    yield 0, np.concatenate(([False], n % ar[1:] == 0))
+    yield 0, np.concatenate(([False], n % np.arange(1, n) == 0))
+    spf = smallest_prime_factors(n)
     for a in range(1, n):
-        yield a, np.ones(n - a, dtype=bool) if n % a == 0 else n % np.gcd(ar[a:], a) == 0
+        mask = np.ones(n - a, dtype=bool)
+        rest = a // gcd(a, n)
+        while rest > 1:
+            p = spf[rest]
+            while rest % p == 0:
+                rest //= p
+            m = p
+            while n % m == 0:
+                m *= p
+            mask[::m] = False
+        yield a, mask
 
 
 def residue_mask(n: int, residues: Iterable[int]) -> np.ndarray:
@@ -214,8 +229,8 @@ def zero_divisor_partition(n: int) -> ZeroDivisorPartition:
 
 def count_prime_power_formula(pp: PrimePower) -> CountResult:
     """|full pair set of Z_{p^k}| = k + sum_{i=1..k} sum_{j=1..p^i - 1} phi(j)."""
-    phi_sums = list(accumulate(phi_sieve(pp.value - 1)))  # phi_sums[x] = sum phi(1..x)
-    total = pp.k + sum(phi_sums[pp.p**i - 1] for i in range(1, pp.k + 1))
+    phi_sums = np.cumsum(phi_sieve(pp.value - 1))  # phi_sums[x] = sum phi(1..x)
+    total = pp.k + sum(int(phi_sums[pp.p**i - 1]) for i in range(1, pp.k + 1))
     return CountResult(total, CountKind.EXACT, "prime-power-formula")
 
 

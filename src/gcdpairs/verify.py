@@ -173,13 +173,16 @@ def _table(limit: int) -> oracle.GcdTable:
     return oracle.GcdTable(limit + 1)
 
 
-def _zero_divisor_pairs(limit: int, n: int) -> int:
-    return _table(limit).count(n, classify_elements(n).zero_divisors)
+# Keyed by the table, not its limit, so that no count outlives the table it
+# was read off.
+@cache
+def _zero_divisor_pairs(table: oracle.GcdTable, n: int) -> int:
+    return table.count(n, classify_elements(n).zero_divisors)
 
 
 @cache
-def _unit_pairs(limit: int, m: int) -> int:
-    return _table(limit).count(m, classify_elements(m).units)
+def _unit_pairs(table: oracle.GcdTable, m: int) -> int:
+    return table.count(m, classify_elements(m).units)
 
 
 def _ring_pair(n: int, a: int, b: int) -> bool:
@@ -254,15 +257,13 @@ def _claim_prime_power_count(limit: int, bounds: SearchBounds) -> Outcome:
     "composite n <= {limit}",
 )
 def _claim_composite_bound(limit: int, bounds: SearchBounds) -> Outcome:
-    phi = phi_sieve(limit)
-    running = 0
+    phi_sums = np.cumsum(phi_sieve(limit)).tolist()  # phi_sums[x] = sum phi(1..x)
     checked = 0
-    for n in range(2, limit + 1):
-        running += phi[n - 1]
-        if is_prime(n) or n < 4:
+    for n in range(4, limit + 1):
+        if is_prime(n):
             continue
         checked += 1
-        bound = 1 + running  # 1 + sum phi(1..n-1)
+        bound = 1 + phi_sums[n - 1]
         actual = _table(limit).count(n)
         if not actual > bound:
             return Status.FAIL, f"count {actual} not above bound {bound} at n={n}", checked
@@ -287,9 +288,10 @@ def _claim_partition(limit: int, bounds: SearchBounds) -> Outcome:
     500,
 )
 def _claim_cell_sum_bound(limit: int, bounds: SearchBounds) -> Outcome:
+    table = _table(limit)
     for n in range(2, limit + 1):
-        lhs = _zero_divisor_pairs(limit, n)
-        rhs = sum(_unit_pairs(limit, n // d) for d in nontrivial_divisors(n) if n // d >= 2)
+        lhs = _zero_divisor_pairs(table, n)
+        rhs = sum(_unit_pairs(table, n // d) for d in nontrivial_divisors(n) if n // d >= 2)
         if lhs < rhs:
             detail = f"zero-divisor pairs {lhs} below cell sum {rhs} at n={n}"
             return Status.DISCREPANCY, detail, n - 1
@@ -316,7 +318,7 @@ def _claim_semiprime_bound(limit: int, bounds: SearchBounds) -> Outcome:
             n = p * q
             checked += 1
             bound = semiprime_zero_divisor_bound(p, q).value
-            actual = _zero_divisor_pairs(limit, n)
+            actual = _zero_divisor_pairs(_table(limit), n)
             if actual < bound:
                 detail = f"bound {bound} exceeds actual {actual} at n={n}"
                 return Status.DISCREPANCY, detail, checked
@@ -329,7 +331,7 @@ def _closed_forms_exact(limit: int, moduli: list[int], confirmed: str) -> Outcom
     """count_zero_divisor_closed is exact and matches brute force at every n in moduli."""
     for checked, n in enumerate(moduli, 1):
         result = count_zero_divisor_closed(n)
-        actual = _zero_divisor_pairs(limit, n)
+        actual = _zero_divisor_pairs(_table(limit), n)
         if result.kind is not CountKind.EXACT or result.value != actual:
             detail = f"closed form {result.value} ({result.kind.value}) != actual {actual} at n={n}"
             return Status.FAIL, detail, checked

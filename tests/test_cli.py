@@ -229,6 +229,19 @@ def test_count_exit_3_on_exact_mismatch(monkeypatch, capsys):
     assert "disagrees" in err
 
 
+def test_memory_error_is_a_one_line_usage_error(monkeypatch, capsys):
+    from gcdpairs import cli
+
+    def exhausted(n):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_formula_counts", exhausted)
+    code, out, err = run(capsys, "count", "1000000000000", "--method", "formula")
+    assert code == 2
+    assert out == ""
+    assert err == "gcdpairs count: input too large for memory\n"
+
+
 def test_env_var_overrides_exact_bounds(monkeypatch, capsys):
     monkeypatch.setenv("GCDPAIRS_MAX_EXACT", "4")
     code, out, _ = run(capsys, "graph", "6", "--analyze", "--json")

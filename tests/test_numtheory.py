@@ -17,6 +17,7 @@ from gcdpairs.numtheory import (
     phi_sieve,
     prime_power_decompose,
     primes_below,
+    smallest_prime_factors,
 )
 
 
@@ -63,6 +64,29 @@ def test_phi_sieve_matches_single_queries():
     sieve = phi_sieve(3000)
     for m in range(1, 3001):
         assert sieve[m] == euler_phi(m)
+
+
+@pytest.mark.parametrize(
+    "limit", [0, 1, 2, 3] + [p * p + d for p in (2, 3, 5, 7, 97) for d in (-1, 0, 1)]
+)
+def test_phi_sieve_at_prime_square_edges(limit):
+    # p^2 - 1, p^2 and p^2 + 1 sit on either side of the last sieving prime
+    sieve = phi_sieve(limit)
+    assert sieve.tolist() == [0] + [euler_phi(m) for m in range(1, limit + 1)]
+
+
+def test_phi_partial_sum_is_an_exact_python_int():
+    total = phi_partial_sum(10**6)
+    assert type(total) is int
+    assert total == 303963552392
+
+
+@pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 48, 49, 50, 1000])
+def test_smallest_prime_factors_by_trial_division(limit):
+    expected = [0, 1][: limit + 1] + [
+        next(f for f in range(2, m + 1) if m % f == 0) for m in range(2, limit + 1)
+    ]
+    assert smallest_prime_factors(limit) == expected
 
 
 def test_phi_partial_sum_examples():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gcdpairs import pairs
+from gcdpairs import oracle, pairs
 from gcdpairs.numtheory import PrimePower, is_prime, nontrivial_divisors, phi_sieve, primes_below
 from gcdpairs.pairs import (
     CountKind,
@@ -327,6 +327,20 @@ def test_prime_power_formula_sieves_once(monkeypatch):
         limits.clear()
         count_prime_power_formula(pp)
         assert limits == [pp.value - 1], pp
+
+
+@pytest.mark.parametrize("n", [243, 360, 1001, 1024, 2310])
+def test_row_masks_match_the_oracle_euclid_loop(n):
+    # deep prime powers (3^5, 2^10), and rows whose a / gcd(a, n) carries
+    # primes that do not divide n, or divide it to a lower power than a
+    for a, mask in pairs.row_masks(n):
+        expected = [(g := oracle._gcd(a, b)) > 0 and n % g == 0 for b in range(a, n)]
+        assert mask.tolist() == expected, (n, a)
+
+
+def test_prime_power_formula_returns_a_python_int():
+    for pp in (PrimePower(2, 18), PrimePower(3, 5), PrimePower(7, 1)):
+        assert type(count_prime_power_formula(pp).value) is int, pp
 
 
 def test_row_masks_cover_rows_a_to_n():
