@@ -12,12 +12,13 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import oracle
 from .graph import SearchBounds, analyze, build, export_dot
 from .numtheory import is_prime, prime_power_decompose
 from .pairs import (
     CountResult,
-    PairSet,
     canonical_residue,
     classify_elements,
     composite_lower_bound,
@@ -25,8 +26,8 @@ from .pairs import (
     count_prime_power_formula,
     count_zero_divisor_closed,
     is_gcd_pair,
-    iter_rows,
     residue_mask,
+    row_masks,
 )
 from .verify import run_verification
 
@@ -113,26 +114,64 @@ def _parse_subset(n: int, text: str) -> tuple[str, frozenset[int] | None]:
     return "subset:" + ",".join(map(str, sorted(residues))), residues
 
 
+def _write_rows(out, n: int, within: np.ndarray | None, head: str, tail: str, sep: str = "") -> int:
+    """Write a record sep + head % a + the digits of b + tail to `out` for each
+    gcd-pair {a, b} of Z_n, in lexicographic order, with no sep before the
+    first record; return the number of pairs. Given the length-n bool array
+    `within`, only the pairs with both ends flagged are written.
+
+    A record is built in numpy, not per pair in Python: the b part is one
+    fixed-width void item from a table per digit width, and each row's run of
+    one width is a structured array (head, b) turned into bytes at once."""
+    starts, tables = [], []  # tables[i] holds "b" + tail for the b >= starts[i] with i + 1 digits
+    ends = tail.encode()
+    lo, width = 0, 1
+    while lo < n:
+        hi = min(10**width, n)
+        starts.append(lo)
+        items = b"".join(b"%d%s" % (b, ends) for b in range(lo, hi))
+        tables.append(np.frombuffer(items, f"V{width + len(ends)}"))
+        lo, width = hi, width + 1
+    bounds = starts + [n]
+    count = 0
+    for a, mask in row_masks(n):
+        if within is not None:
+            mask = mask & within[a:] & within[a]
+        row = np.flatnonzero(mask) + a
+        if not row.size:
+            continue
+        head_item = np.void((sep + head % a).encode())
+        cuts = np.searchsorted(row, bounds).tolist()
+        blocks = []
+        for table, lo, i, j in zip(tables, starts, cuts, cuts[1:]):
+            if i < j:
+                block = np.empty(j - i, [("head", head_item.dtype), ("b", table.dtype)])
+                block["head"] = head_item
+                block["b"] = np.take(table, row[i:j] - lo)
+                blocks.append(block.tobytes())
+        text = b"".join(blocks).decode("ascii")
+        out.write(text[len(sep) :] if count == 0 else text)
+        count += row.size
+    return count
+
+
 def cmd_list(args: argparse.Namespace) -> int:
     try:
         label, subset = _parse_subset(args.n, args.subset)
     except ValueError as exc:
         print(f"gcdpairs list: {exc}", file=sys.stderr)
         return 2
-    rows = iter_rows(args.n, None if subset is None else residue_mask(args.n, subset))
-    if args.json:
-        pairs = tuple((a, b) for a, row in rows for b in row)
-        ps = PairSet(n=args.n, pairs=pairs, label=label, subset=subset)
-        print(json.dumps(ps.to_json_dict(), indent=2))
-        return 0
+    within = None if subset is None else residue_mask(args.n, subset)
     out = sys.stdout
-    count = 0
-    suffixes = [f"{b}}}\n" for b in range(args.n)]  # row a is "{a," + suffix, per b
-    for a, row in rows:
-        if row:
-            prefix = f"{{{a},"
-            out.write(prefix + prefix.join([suffixes[b] for b in row]))
-            count += len(row)
+    if args.json:
+        # the bytes of json.dumps(indent=2) of the whole payload, streamed:
+        # the header without its closing "\n}", then the pairs one by one
+        header = json.dumps({"schema": 1, "n": args.n, "label": label}, indent=2)
+        out.write(header[:-2] + ',\n  "pairs": [')
+        count = _write_rows(out, args.n, within, "\n    [\n      %d,\n      ", "\n    ]", sep=",")
+        out.write("\n  ]\n}\n" if count else "]\n}\n")
+        return 0
+    count = _write_rows(out, args.n, within, "{%d,", "}\n")
     out.write(f"The number of gcd-pairs is {count}\n")
     return 0
 

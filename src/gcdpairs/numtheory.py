@@ -60,17 +60,25 @@ def euler_phi(m: int) -> int:
     if m < 1:
         raise ValueError(f"euler_phi requires m >= 1, got {m}")
     result = m
-    rest = m
+    for p in prime_factors(m):
+        result -= result // p
+    return result
+
+
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    primes = []
+    rest = n
     f = 2
     while f * f <= rest:
         if rest % f == 0:
-            result -= result // f
+            primes.append(f)
             while rest % f == 0:
                 rest //= f
         f += 1
     if rest > 1:
-        result -= result // rest
-    return result
+        primes.append(rest)
+    return primes
 
 
 def phi_partial_sum(limit: int) -> int:
@@ -97,6 +105,21 @@ def phi_sieve(limit: int) -> np.ndarray:
     large = rest > 1
     phi[large] -= phi[large] // rest[large]
     return phi
+
+
+def mobius_sieve(limit: int) -> np.ndarray:
+    """mu(0..limit) as int8, with mu(0) = 0, sieved like phi_sieve: each prime
+    p <= sqrt(limit) flips the sign of its multiples and zeroes those of p^2,
+    and a squarefree m left with one prime factor above sqrt(limit) flips once more."""
+    mu = np.ones(limit + 1, dtype=np.int8)
+    rest = np.arange(limit + 1, dtype=np.int64)
+    for p in primes_below(math.isqrt(limit) + 1):
+        mu[::p] *= -1
+        mu[:: p * p] = 0
+        rest[::p] //= p
+    mu[rest > 1] *= -1
+    mu[0] = 0
+    return mu
 
 
 def smallest_prime_factors(limit: int) -> list[int]:

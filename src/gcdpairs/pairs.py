@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cache
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple
 
@@ -20,9 +19,11 @@ import numpy as np
 from .numtheory import (
     PrimePower,
     is_prime,
+    mobius_sieve,
     nontrivial_divisors,
     phi_partial_sum,
     phi_sieve,
+    prime_factors,
     prime_power_decompose,
     smallest_prime_factors,
 )
@@ -159,16 +160,6 @@ def residue_mask(n: int, residues: Iterable[int]) -> np.ndarray:
     return np.isin(np.arange(n), list(residues))
 
 
-def iter_rows(n: int, within: np.ndarray | None = None) -> Iterator[tuple[int, list[int]]]:
-    """Row a of the gcd-pairs of Z_n, for every a < n: (a, the ascending b >= a
-    that pair with a), read off row_masks. Given the length-n bool array
-    `within`, a row keeps only the pairs with both ends flagged."""
-    for a, mask in row_masks(n):
-        if within is not None:
-            mask = mask & within[a:] & within[a]
-        yield a, (np.flatnonzero(mask) + a).tolist()
-
-
 def count_pairs(n: int, within: np.ndarray) -> tuple[int, int]:
     """(number of gcd-pairs of Z_n, number of those with both ends flagged in
     the length-n bool array `within`), counted on row_masks; no pair is built."""
@@ -181,9 +172,9 @@ def count_pairs(n: int, within: np.ndarray) -> tuple[int, int]:
 
 
 def iter_pairs(n: int) -> Iterator[tuple[int, int]]:
-    """All gcd-pairs of Z_n in lexicographic order, streamed."""
-    for a, row in iter_rows(n):
-        for b in row:
+    """All gcd-pairs of Z_n in lexicographic order, streamed off row_masks."""
+    for a, mask in row_masks(n):
+        for b in (np.flatnonzero(mask) + a).tolist():
             yield (a, b)
 
 
@@ -268,14 +259,25 @@ def divisor_cell_sum_bound(n: int) -> CountResult:
     if n < 2:
         raise ValueError(f"divisor_cell_sum_bound requires n >= 2, got {n}")
     # the d = n cell is empty: Z_1 has no pairs
-    total = sum(_unit_pair_count(n // d) for d in nontrivial_divisors(n) if d < n)
+    cofactors = [n // d for d in nontrivial_divisors(n) if d < n]
+    mu = mobius_sieve(max(cofactors, default=1))
+    total = sum(_unit_pair_count(m, mu) for m in cofactors)
     return CountResult(total, CountKind.LOWER_BOUND, "divisor-cell-sum")
 
 
-@cache
-def _unit_pair_count(m: int) -> int:
-    """Pairs among the units of Z_m, counted once per modulus."""
-    return count_pairs(m, np.gcd(np.arange(m), m) == 1)[1]
+def _unit_pair_count(m: int, mu: np.ndarray) -> int:
+    """Pairs a <= b among the units of Z_m, i.e. the units with gcd(a, b) = 1,
+    given mu = mobius_sieve(k) for some k >= m - 1; time and memory O(m).
+
+    Mobius inversion over d = gcd(a, b): the count is the sum, over d < m
+    coprime to m, of mu(d) * c(c + 1) / 2, where c is the number of units x
+    in 1..(m - 1) // d (a = d*x and b = d*y are units exactly when x, y are)."""
+    unit = np.ones(m, dtype=bool)
+    unit[0] = False
+    for p in prime_factors(m):
+        unit[::p] = False
+    c = np.cumsum(unit)[(m - 1) // np.arange(1, m)]
+    return int(np.dot(mu[1:m] * unit[1:], c * (c + 1) // 2))
 
 
 def count_zero_divisor_closed(n: int) -> CountResult:

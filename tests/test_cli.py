@@ -2,13 +2,17 @@
 
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
+from gcdpairs import oracle
 from gcdpairs.cli import main
+from gcdpairs.pairs import PairSet
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -68,6 +72,56 @@ def test_list_usage_errors(capsys):
     assert code == 2 and "residue 9" in err
     code, _, _ = run(capsys, "list", "1", "--subset", "units")
     assert code == 2
+
+
+# "0" selects only {0, 0}, which is never a gcd-pair
+SUBSET_KINDS = ("all", "units", "zero-divisors", "0")
+
+
+@lru_cache(maxsize=1)  # the tests go through every subset kind of one n in turn
+def _naive_pairs(n):
+    return oracle.naive_enumerate(n).pairs
+
+
+def _reference_pairs(n, kind):
+    """(label, pairs) for `list n --subset kind`, from the definition."""
+    if kind == "all":
+        label, chosen = "full", None
+    elif kind == "units":
+        label, chosen = kind, {x for x in range(n) if math.gcd(x, n) == 1}
+    elif kind == "zero-divisors":
+        label, chosen = kind, {x for x in range(1, n) if math.gcd(x, n) > 1}
+    else:
+        chosen = {int(x) for x in kind.split(",")}
+        label = "subset:" + ",".join(map(str, sorted(chosen)))
+    pairs = _naive_pairs(n)
+    if chosen is not None:
+        pairs = tuple((a, b) for a, b in pairs if a in chosen and b in chosen)
+    return label, pairs
+
+
+def _subset_kinds(n):
+    return SUBSET_KINDS if n >= 2 else ("all", "0")  # units need n >= 2
+
+
+def test_list_text_matches_the_definition_across_digit_widths(capsys):
+    for n in (1, 2, 9, 10, 11, 99, 100, 101, 999, 1000, 1001):
+        for kind in _subset_kinds(n):
+            _, pairs = _reference_pairs(n, kind)
+            expected = "".join(f"{{{a},{b}}}\n" for a, b in pairs)
+            expected += f"The number of gcd-pairs is {len(pairs)}\n"
+            code, out, _ = run(capsys, "list", str(n), "--subset", kind)
+            assert (code, out) == (0, expected), (n, kind)
+
+
+def test_list_json_is_json_dumps_of_the_pair_set(capsys):
+    # json.dumps(indent=2) runs in pure Python, so above 100 only a sample of n
+    for n in [*range(1, 101), 101, 128, 150, 199, 200]:
+        for kind in _subset_kinds(n):
+            label, pairs = _reference_pairs(n, kind)
+            payload = PairSet(n=n, pairs=pairs, label=label).to_json_dict()
+            code, out, _ = run(capsys, "list", str(n), "--json", "--subset", kind)
+            assert (code, out) == (0, json.dumps(payload, indent=2) + "\n"), (n, kind)
 
 
 def test_check_verdicts(capsys):
@@ -444,19 +498,28 @@ def _subprocess_env() -> dict:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
 
 
-def test_closed_pipe_exits_2_without_traceback():
+def _assert_closed_pipe_exits_2(argv, first_line):
+    """Run gcdpairs argv, read one line, close the pipe: exit 2, one stderr line."""
     proc = subprocess.Popen(
-        [sys.executable, "-m", "gcdpairs", "list", "3000"],
+        [sys.executable, "-m", "gcdpairs", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=_subprocess_env(),
     )
-    assert proc.stdout.readline() == b"{0,1}\n"
+    assert proc.stdout.readline() == first_line
     proc.stdout.close()
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 2
     assert "Traceback" not in err and "Exception ignored" not in err
-    assert err == "gcdpairs list: output pipe closed\n"
+    assert err == f"gcdpairs {argv[0]}: output pipe closed\n"
+
+
+def test_closed_pipe_exits_2_without_traceback():
+    _assert_closed_pipe_exits_2(["list", "3000"], b"{0,1}\n")
+
+
+def test_closed_pipe_during_json_exits_2_without_traceback():
+    _assert_closed_pipe_exits_2(["list", "3000", "--json"], b"{\n")
 
 
 def test_cli_import_leaves_networkx_unloaded():

@@ -12,9 +12,11 @@ from gcdpairs.numtheory import (
     euler_phi,
     gcd,
     is_prime,
+    mobius_sieve,
     nontrivial_divisors,
     phi_partial_sum,
     phi_sieve,
+    prime_factors,
     prime_power_decompose,
     primes_below,
     smallest_prime_factors,
@@ -157,3 +159,21 @@ def test_prime_power_validates():
 def test_divisors_include_endpoints():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert divisors(1) == [1]
+
+
+def test_prime_factors_are_the_distinct_prime_divisors():
+    for n in range(1, 2000):
+        expected = [p for p in range(2, n + 1) if n % p == 0 and is_prime(p)]
+        assert prime_factors(n) == expected, n
+
+
+def _mobius(m: int) -> int:
+    """mu(m) by the definition: 0 when a square > 1 divides m, else (-1)^(prime count)."""
+    if any(m % (f * f) == 0 for f in range(2, math.isqrt(m) + 1)):
+        return 0
+    return (-1) ** sum(1 for p in range(2, m + 1) if m % p == 0 and is_prime(p))
+
+
+@pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 8, 9, 10, 24, 25, 26, 48, 49, 50, 1500])
+def test_mobius_sieve_matches_the_definition(limit):
+    assert mobius_sieve(limit).tolist() == [0] + [_mobius(m) for m in range(1, limit + 1)]

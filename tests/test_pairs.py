@@ -9,7 +9,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gcdpairs import oracle, pairs
-from gcdpairs.numtheory import PrimePower, is_prime, nontrivial_divisors, phi_sieve, primes_below
+from gcdpairs.numtheory import (
+    PrimePower,
+    is_prime,
+    mobius_sieve,
+    nontrivial_divisors,
+    phi_sieve,
+    primes_below,
+)
 from gcdpairs.pairs import (
     CountKind,
     GcdPair,
@@ -313,6 +320,14 @@ def test_divisor_cell_sum_bound_equals_restricted_enumeration_to_300():
     for n in range(2, 301):
         expected = sum(unit_pairs[n // d] for d in nontrivial_divisors(n) if n // d >= 2)
         assert divisor_cell_sum_bound(n).value == expected, n
+
+
+def test_unit_pair_count_matches_the_gcd_table_below_1000():
+    table = oracle.GcdTable(1000)
+    mu = mobius_sieve(999)
+    for m in range(1, 1000):
+        units = [x for x in range(m) if math.gcd(x, m) == 1]
+        assert pairs._unit_pair_count(m, mu) == table.count(m, units), m
 
 
 def test_prime_power_formula_sieves_once(monkeypatch):
