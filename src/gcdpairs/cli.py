@@ -348,9 +348,13 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except BrokenPipeError:
         # The reader went away; send what is still buffered to devnull so the
-        # flush at interpreter exit stays silent.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"gcdpairs {args.command}: output pipe closed", file=sys.stderr)
+        # flush at interpreter exit stays silent. stderr may share the closed pipe.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        try:
+            print(f"gcdpairs {args.command}: output pipe closed", file=sys.stderr, flush=True)
+        except BrokenPipeError:
+            os.dup2(devnull, sys.stderr.fileno())
         return 2
     except MemoryError:
         print(f"gcdpairs {args.command}: input too large for memory", file=sys.stderr)

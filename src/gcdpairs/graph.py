@@ -445,6 +445,8 @@ def _canonical_colors(colors: dict[int, int], n: int) -> dict[int, int]:
 
 def is_planar(g: GcdGraph) -> bool:
     """Exact planarity of the simple-edge graph (loops are irrelevant)."""
+    if g.n >= 3 and g.edge_count() > 3 * g.n - 6:  # Euler: planar has <= 3v - 6 edges
+        return False
     import networkx as nx  # only planarity needs it, and it is slow to import
 
     graph = nx.Graph()

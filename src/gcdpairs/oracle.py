@@ -2,8 +2,9 @@
 
 Everything in this module is ground truth for the optimized paths and shares
 no code with them: the gcd loop, the adjacency build, and the searches are all
-written from the definitions. Duplication here is deliberate. Performance is a
-non-goal; each search carries a hard input bound instead.
+written from the definitions. Duplication here is deliberate. Every search is
+exhaustive, never approximate; bounded: each carries a hard input bound, and
+skips only work that a stated theorem proves cannot change its answer.
 """
 
 from __future__ import annotations
@@ -105,37 +106,47 @@ def _sorted_indices(elements) -> np.ndarray:
     return np.array(sorted(set(elements)), dtype=np.intp)
 
 
-def _adjacency(g: GcdGraph) -> list[set[int]]:
-    # own adjacency build from the edge set; loops are not adjacency
-    adj: list[set[int]] = [set() for _ in range(g.n)]
+def _adjacency(g: GcdGraph) -> list[int]:
+    # own adjacency build from the edge set: bit b of adj[a] marks the edge {a, b}
+    adj = [0] * g.n
     for a, b in g.simple_edges:
-        adj[a].add(b)
-        adj[b].add(a)
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
     return adj
 
 
 def exhaustive_max_clique(g: GcdGraph) -> CliqueWitness:
-    """Maximum clique by unpruned recursion over all cliques (n <= 26).
+    """Maximum clique by Bron–Kerbosch over every maximal clique (n <= 26).
 
-    Cliques are visited in lexicographic order of their sorted vertex tuples,
-    so keeping the first strictly larger one yields the lexicographically
-    smallest maximum clique.
+    C. Bron and J. Kerbosch, "Algorithm 457", CACM 16(9), 1973, with the pivot of
+    Tomita, Tanaka and Takahashi, TCS 363, 2006: branch only on P minus N(u), for
+    the u in P ∪ X with most neighbours in P. Every maximum clique is maximal, so
+    the smallest sorted tuple among the largest maximal cliques is the
+    lexicographically smallest maximum clique.
     """
     if g.n > MAX_CLIQUE_N:
         raise OracleBoundError(f"exhaustive_max_clique is bounded at n <= {MAX_CLIQUE_N}")
     adj = _adjacency(g)
-    best: list[int] = []
+    best: tuple[int, ...] = ()
 
-    def extend(current: list[int], candidates: list[int]) -> None:
+    def bk(r: int, p: int, x: int) -> None:
         nonlocal best
-        if len(current) > len(best):
-            best = current[:]
-        for v in candidates:
-            current.append(v)
-            extend(current, [u for u in candidates if u > v and u in adj[v]])
-            current.pop()
+        if not p | x:  # r is a maximal clique
+            clique = tuple(v for v in range(g.n) if r >> v & 1)
+            if len(clique) > len(best) or (len(clique) == len(best) and clique < best):
+                best = clique
+            return
+        u = max((v for v in range(g.n) if (p | x) >> v & 1), key=lambda v: (adj[v] & p).bit_count())
+        branch = p & ~adj[u]
+        while branch:
+            vbit = branch & -branch
+            branch ^= vbit
+            v = vbit.bit_length() - 1
+            bk(r | vbit, p & adj[v], x & adj[v])
+            p ^= vbit
+            x |= vbit
 
-    extend([], list(range(g.n)))
+    bk(0, (1 << g.n) - 1, 0)
     return CliqueWitness(vertices=frozenset(best), maximal=True, maximum=True)
 
 
@@ -152,7 +163,7 @@ def exhaustive_chromatic(g: GcdGraph) -> int:
     def colorable(v: int, c: int, used: int) -> bool:
         if v == g.n:
             return True
-        taken = {colors[u] for u in adj[v] if u in colors}
+        taken = {color for u, color in colors.items() if adj[v] >> u & 1}
         for color in range(min(used + 1, c)):
             if color not in taken:
                 colors[v] = color
@@ -173,26 +184,24 @@ def exhaustive_hamiltonian(g: GcdGraph) -> tuple[PathWitness | None, int]:
 
     Exhaustive search over (visited subset, endpoint) states, run once per
     anchor vertex s with all other cycle vertices above s, so every cycle is
-    examined exactly once up to rotation.
+    examined exactly once up to rotation, until n - s <= the best order found.
     """
     if g.n > MAX_CYCLE_N:
         raise OracleBoundError(f"exhaustive_hamiltonian is bounded at n <= {MAX_CYCLE_N}")
     n = g.n
-    adjmask = [0] * n
-    for a, b in g.simple_edges:
-        adjmask[a] |= 1 << b
-        adjmask[b] |= 1 << a
-
+    adjmask = _adjacency(g)
     best_order = 0
     ham: PathWitness | None = None
     for s in range(n):
+        if n - s <= best_order:  # no cycle on the n - s vertices >= s is longer
+            break
         ends: dict[int, int] = {1 << s: 1 << s}
         frontier = [1 << s]
         i = 0
         while i < len(frontier):
             mask = frontier[i]
             i += 1
-            size = bin(mask).count("1")
+            size = mask.bit_count()
             endpoints = ends[mask]
             e = endpoints
             while e:
@@ -215,8 +224,6 @@ def exhaustive_hamiltonian(g: GcdGraph) -> tuple[PathWitness | None, int]:
                         ends[nxt] = 0
                         frontier.append(nxt)
                     ends[nxt] |= ubit
-        if ham is not None:
-            break
     return ham, best_order
 
 
@@ -231,7 +238,7 @@ def _reconstruct_cycle(
     path = [last]
     mask = (1 << n) - 1
     v = last
-    while bin(mask).count("1") > 1:
+    while mask.bit_count() > 1:
         prev_mask = mask & ~(1 << v)
         candidates = ends.get(prev_mask, 0) & adjmask[v]
         u = (candidates & -candidates).bit_length() - 1
@@ -241,17 +248,27 @@ def _reconstruct_cycle(
     return tuple(path)
 
 
+def networkx_planar(g: GcdGraph) -> bool:
+    """Planarity of the simple-edge graph by networkx's test, with no edge bound."""
+    import networkx as nx
+
+    graph = nx.Graph()
+    graph.add_nodes_from(range(g.n))
+    graph.add_edges_from(g.simple_edges)
+    return nx.check_planarity(graph)[0]
+
+
 def exhaustive_domination(g: GcdGraph) -> int:
     """Minimum dominating set size by trying all vertex subsets, ascending (n <= 20)."""
     if g.n > MAX_DOMINATION_N:
         raise OracleBoundError(f"exhaustive_domination is bounded at n <= {MAX_DOMINATION_N}")
     adj = _adjacency(g)
-    everyone = set(range(g.n))
+    everyone = (1 << g.n) - 1
     for size in range(1, g.n + 1):
         for subset in itertools.combinations(range(g.n), size):
-            covered = set(subset)
+            covered = 0
             for v in subset:
-                covered |= adj[v]
+                covered |= adj[v] | 1 << v
             if covered == everyone:
                 return size
     raise AssertionError("unreachable: the full vertex set always dominates")

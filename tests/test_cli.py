@@ -527,6 +527,33 @@ def test_cli_import_leaves_networkx_unloaded():
     subprocess.run([sys.executable, "-c", check], env=_subprocess_env(), check=True)
 
 
+def test_analyze_beyond_the_euler_bound_leaves_networkx_unloaded():
+    check = (
+        "import contextlib, io, sys\n"
+        "from gcdpairs import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['graph', '64', '--analyze']) == 0\n"
+        "    assert cli.main(['graph', '8', '--analyze']) == 0\n"
+        "assert 'networkx' not in sys.modules\n"
+    )
+    subprocess.run([sys.executable, "-c", check], env=_subprocess_env(), check=True, timeout=60)
+
+
+def test_closed_pipe_shared_with_stderr_exits_2():
+    """stdout and stderr on one pipe: the message about the closed pipe cannot be
+    written either, and the exit code is still 2."""
+    for argv in (["list", "3000"], ["graph", "300", "--json"]):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gcdpairs", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            env=_subprocess_env(),
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 2, argv
+
+
 def test_invariant_table_output_digest():
     # the script reads GCDPAIRS_MAX_EXACT; the digest is for the default search bounds
     env = {k: v for k, v in _subprocess_env().items() if k != "GCDPAIRS_MAX_EXACT"}

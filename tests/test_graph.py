@@ -1,6 +1,7 @@
 """Graph construction and exact invariants against the documented results."""
 
 import dataclasses
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -262,8 +263,25 @@ def test_planarity_examples():
 
 
 def test_planarity_threshold_to_30():
-    for n in range(2, 31):
-        assert is_planar(build(n)) == (n <= 7 and n != 6), n
+    import networkx as nx
+
+    for n in range(1, 31):
+        g = build(n)
+        graph = nx.Graph()
+        graph.add_nodes_from(range(n))
+        graph.add_edges_from(g.sorted_edges())
+        assert is_planar(g) == nx.check_planarity(graph)[0] == (n <= 7 and n != 6), n
+
+
+def test_planarity_at_the_euler_bound():
+    def graph(n, edges):
+        return graph_from_json_dict({"n": n, "edges": edges, "loops": []})
+
+    k5 = list(itertools.combinations(range(5), 2))
+    assert is_planar(graph(4, list(itertools.combinations(range(4), 2))))  # K4: 6 = 3v - 6 edges
+    assert is_planar(graph(5, k5[1:]))  # K5 minus an edge: 9 = 3v - 6
+    assert not is_planar(graph(5, k5))  # 10 > 3v - 6
+    assert not is_planar(graph(6, [(a, b) for a in range(3) for b in range(3, 6)]))  # K3,3
 
 
 def test_k5_threshold_to_60():

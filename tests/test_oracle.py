@@ -1,11 +1,21 @@
 """Oracle self-checks and the central cross-validation against the fast paths."""
 
 import math
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcdpairs import oracle
-from gcdpairs.graph import build, chromatic_number, domination_number, max_clique
+from gcdpairs.graph import (
+    PathWitness,
+    build,
+    chromatic_number,
+    domination_number,
+    graph_from_json_dict,
+    max_clique,
+)
 from gcdpairs.pairs import (
     classify_elements,
     count_pairs,
@@ -78,6 +88,74 @@ def test_clique_cross_validation_to_26():
     for n in range(1, 27):
         g = build(n)
         assert oracle.exhaustive_max_clique(g).vertices == max_clique(g).vertices, n
+
+
+def _graph(n, edges):
+    return graph_from_json_dict({"n": n, "edges": edges, "loops": []})
+
+
+@st.composite
+def _graphs(draw, max_n):
+    n = draw(st.integers(0, max_n))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return _graph(n, [e for e, kept in zip(pairs, keep) if kept])
+
+
+def _is_clique(g, vertices):
+    return all(g.adjacency[a] >> b & 1 for a, b in combinations(vertices, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graphs(max_n=12))
+def test_clique_oracle_equals_the_first_largest_subset(g):
+    # combinations yields each size's subsets in lexicographic order
+    first_largest = next(
+        c for size in range(g.n, -1, -1) for c in combinations(range(g.n), size) if _is_clique(g, c)
+    )
+    assert oracle.exhaustive_max_clique(g).vertices == frozenset(first_largest)
+
+
+def _longest_cycle(g):
+    """Largest k >= 3 with some k vertices in a closed walk without repeats, by
+    trying every ordering that starts at the subset's smallest vertex."""
+    for k in range(g.n, 2, -1):
+        for first, *rest in combinations(range(g.n), k):
+            for order in permutations(rest):
+                ring = (first, *order, first)
+                if all(_is_clique(g, step) for step in zip(ring, ring[1:])):
+                    return k
+    return 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graphs(max_n=7))
+def test_cycle_oracle_equals_the_longest_ordering(g):
+    cycle, longest = oracle.exhaustive_hamiltonian(g)
+    assert longest == _longest_cycle(g)
+    assert (cycle is not None) == (g.n >= 3 and longest == g.n)
+
+
+TRIANGLE_567 = [(5, 6), (6, 7), (5, 7)]
+SQUARE_0123 = [(0, 1), (1, 2), (2, 3), (0, 3)]
+
+
+@pytest.mark.parametrize(
+    "edges, longest",
+    [
+        (TRIANGLE_567, 3),  # the only cycle sits on the top three vertices
+        (TRIANGLE_567 + SQUARE_0123, 4),
+        ([(0, 1), (1, 2), (0, 2), (4, 5), (5, 6), (6, 7), (4, 7)], 4),  # longest after a shorter
+        ([(2, 3), (3, 4), (2, 4), *TRIANGLE_567, (4, 5)], 3),
+    ],
+)
+def test_cycle_oracle_finds_cycles_among_the_top_vertices(edges, longest):
+    assert oracle.exhaustive_hamiltonian(_graph(8, edges)) == (None, longest)
+
+
+def test_cycle_oracle_returns_the_hamiltonian_cycle_from_anchor_0():
+    ring = PathWitness(vertices=(0, 3, 2, 1), closed=True)  # walked back from vertex 1
+    assert oracle.exhaustive_hamiltonian(_graph(4, SQUARE_0123)) == (ring, 4)
 
 
 def test_exhaustive_chromatic_examples():
