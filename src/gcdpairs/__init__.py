@@ -22,15 +22,12 @@ from .numtheory import PrimePower, euler_phi, phi_partial_sum, primes_below
 from .pairs import (
     CountKind,
     CountResult,
-    GcdPair,
     PairSet,
     ZeroDivisorPartition,
     classify_elements,
     count_prime_power_formula,
     count_zero_divisor_closed,
-    enumerate_pairs,
     is_gcd_pair,
-    restrict,
     zero_divisor_partition,
 )
 from .verify import ClaimResult, Status, VerificationReport, run_verification
@@ -53,15 +50,12 @@ __all__ = [
     "primes_below",
     "CountKind",
     "CountResult",
-    "GcdPair",
     "PairSet",
     "ZeroDivisorPartition",
     "classify_elements",
     "count_prime_power_formula",
     "count_zero_divisor_closed",
-    "enumerate_pairs",
     "is_gcd_pair",
-    "restrict",
     "zero_divisor_partition",
     "ClaimResult",
     "Status",

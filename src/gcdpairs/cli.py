@@ -15,11 +15,10 @@ import sys
 import numpy as np
 
 from . import oracle
-from .graph import SearchBounds, analyze, build, export_dot
-from .numtheory import is_prime, prime_power_decompose
+from .graph import SearchBounds, analyze, build
+from .numtheory import divisors, is_prime, prime_power_decompose
 from .pairs import (
     CountResult,
-    canonical_residue,
     classify_elements,
     composite_lower_bound,
     count_pairs,
@@ -114,11 +113,10 @@ def _parse_subset(n: int, text: str) -> tuple[str, frozenset[int] | None]:
     return "subset:" + ",".join(map(str, sorted(residues))), residues
 
 
-def _write_rows(out, n: int, within: np.ndarray | None, head: str, tail: str, sep: str = "") -> int:
+def _write_rows(out, n: int, rows, head: str, tail: str, sep: str = "") -> int:
     """Write a record sep + head % a + the digits of b + tail to `out` for each
-    gcd-pair {a, b} of Z_n, in lexicographic order, with no sep before the
-    first record; return the number of pairs. Given the length-n bool array
-    `within`, only the pairs with both ends flagged are written.
+    (a, bs) of `rows` and each b of the ascending int array bs (all b < n),
+    with no sep before the first record; return the number of records.
 
     A record is built in numpy, not per pair in Python: the b part is one
     fixed-width void item from a table per digit width, and each row's run of
@@ -134,10 +132,7 @@ def _write_rows(out, n: int, within: np.ndarray | None, head: str, tail: str, se
         lo, width = hi, width + 1
     bounds = starts + [n]
     count = 0
-    for a, mask in row_masks(n):
-        if within is not None:
-            mask = mask & within[a:] & within[a]
-        row = np.flatnonzero(mask) + a
+    for a, row in rows:
         if not row.size:
             continue
         head_item = np.void((sep + head % a).encode())
@@ -155,32 +150,51 @@ def _write_rows(out, n: int, within: np.ndarray | None, head: str, tail: str, se
     return count
 
 
+def _write_json(out, n: int, fields: dict, key: str, rows, rest: dict | None = None) -> None:
+    """The bytes of json.dumps(indent=2) of fields, then `key` holding the
+    pairs [a, b] of `rows` as _write_rows walks them, then rest, streamed:
+    the header without its closing "\n}", the pairs one by one, and rest
+    without its opening "{"."""
+    out.write(json.dumps(fields, indent=2)[:-2] + f',\n  "{key}": [')
+    count = _write_rows(out, n, rows, "\n    [\n      %d,\n      ", "\n    ]", sep=",")
+    out.write("\n  ]" if count else "]")
+    out.write("\n}\n" if rest is None else "," + json.dumps(rest, indent=2)[1:] + "\n")
+
+
+def _pair_rows(n: int, within: np.ndarray | None):
+    """(a, the b >= a with {a, b} a gcd-pair of Z_n) for each a < n; given
+    the length-n bool array `within`, only the pairs with both ends flagged."""
+    for a, mask in row_masks(n):
+        if within is not None:
+            mask = mask & within[a:] & within[a]
+        yield a, np.flatnonzero(mask) + a
+
+
+def _edge_rows(n: int):
+    """(a, the b > a with {a, b} an edge of G_n) for each a < n: each
+    row_masks row without its {a, a} cell."""
+    for a, mask in row_masks(n):
+        yield a, np.flatnonzero(mask[1:]) + a + 1
+
+
 def cmd_list(args: argparse.Namespace) -> int:
     try:
         label, subset = _parse_subset(args.n, args.subset)
     except ValueError as exc:
         print(f"gcdpairs list: {exc}", file=sys.stderr)
         return 2
-    within = None if subset is None else residue_mask(args.n, subset)
-    out = sys.stdout
+    rows = _pair_rows(args.n, None if subset is None else residue_mask(args.n, subset))
     if args.json:
-        # the bytes of json.dumps(indent=2) of the whole payload, streamed:
-        # the header without its closing "\n}", then the pairs one by one
-        header = json.dumps({"schema": 1, "n": args.n, "label": label}, indent=2)
-        out.write(header[:-2] + ',\n  "pairs": [')
-        count = _write_rows(out, args.n, within, "\n    [\n      %d,\n      ", "\n    ]", sep=",")
-        out.write("\n  ]\n}\n" if count else "]\n}\n")
+        _write_json(sys.stdout, args.n, {"schema": 1, "n": args.n, "label": label}, "pairs", rows)
         return 0
-    count = _write_rows(out, args.n, within, "{%d,", "}\n")
-    out.write(f"The number of gcd-pairs is {count}\n")
+    count = _write_rows(sys.stdout, args.n, rows, "{%d,", "}\n")
+    print(f"The number of gcd-pairs is {count}")
     return 0
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    ra = canonical_residue(args.n, args.a)
-    rb = canonical_residue(args.n, args.b)
+    lo, hi = sorted((args.a % args.n, args.b % args.n))
     verdict = is_gcd_pair(args.n, args.a, args.b)
-    lo, hi = min(ra, rb), max(ra, rb)
     if args.json:
         payload = {
             "schema": 1,
@@ -262,38 +276,43 @@ def cmd_count(args: argparse.Namespace) -> int:
     return 3 if mismatch else 0
 
 
+def _write_dot(out, n: int, loops: list[int]) -> None:
+    """Undirected DOT text: loops first, then edges in lexicographic order."""
+    out.write(f"graph G{n} {{\n" + "".join(f"{a} -- {a};\n" for a in loops))
+    _write_rows(out, n, _edge_rows(n), "%d -- ", ";\n")
+    out.write("}\n")
+
+
 def cmd_graph(args: argparse.Namespace) -> int:
+    if args.dot == "-" and args.json:
+        print("gcdpairs graph: --dot - and --json both write stdout", file=sys.stderr)
+        return 2
+    invariants: dict | None = None
+    notes: list[str] = []
     if args.analyze:
         try:
             bounds = SearchBounds.from_env()
         except ValueError as exc:
             print(f"gcdpairs graph: {exc}", file=sys.stderr)
             return 2
-    g = build(args.n)
-    invariants: dict | None = None
-    notes: list[str] = []
-    if args.analyze:
-        invariants, notes = analyze(g, bounds)
-    dot_to_stdout = args.dot == "-"
+        invariants, notes = analyze(build(args.n), bounds)
+    loops = divisors(args.n)[:-1]  # the a < n with gcd(a, a) = a dividing n
+    if args.dot == "-":
+        _write_dot(sys.stdout, args.n, loops)
+        return 0
     if args.dot is not None:
-        text = export_dot(g)
-        if dot_to_stdout:
-            sys.stdout.write(text)
-        else:
-            try:
-                with open(args.dot, "w", encoding="utf-8", newline="\n") as fh:
-                    fh.write(text)
-            except OSError as exc:
-                print(f"gcdpairs graph: cannot write {args.dot}: {exc}", file=sys.stderr)
-                return 2
-    if dot_to_stdout and not args.json:
-        return 0
+        try:
+            with open(args.dot, "w", encoding="utf-8", newline="\n") as fh:
+                _write_dot(fh, args.n, loops)
+        except OSError as exc:
+            print(f"gcdpairs graph: cannot write {args.dot}: {exc}", file=sys.stderr)
+            return 2
     if args.json:
-        payload = g.to_json_dict(invariants)
-        payload["notes"] = notes
-        print(json.dumps(payload, indent=2))
+        rest = {"loops": loops, "invariants": invariants, "notes": notes}
+        _write_json(sys.stdout, args.n, {"schema": 1, "n": args.n}, "edges", _edge_rows(args.n), rest)
         return 0
-    print(f"G_{args.n}: {args.n} vertices, {g.edge_count()} edges, {len(g.loops)} loops")
+    edges = count_pairs(args.n, np.zeros(args.n, dtype=bool))[0] - len(loops)
+    print(f"G_{args.n}: {args.n} vertices, {edges} edges, {len(loops)} loops")
     if invariants is not None:
         for key in (
             "connected",

@@ -64,42 +64,12 @@ class GcdGraph:
 
     @property
     def simple_edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.sorted_edges())
-
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        """Edges (a, b) with a < b, lexicographic: each row's bits above a."""
-        return [(a, b) for a, row in enumerate(self.adjacency) for b in _bits(row & _above(a))]
+        """Edges (a, b) with a < b: each row's bits above a."""
+        rows = enumerate(self.adjacency)
+        return frozenset((a, b) for a, row in rows for b in _bits(row & _above(a)))
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adjacency) // 2
-
-    def to_json_dict(self, invariants: dict | None = None) -> dict:
-        return {
-            "schema": 1,
-            "n": self.n,
-            "edges": [[a, b] for a, b in self.sorted_edges()],
-            "loops": sorted(self.loops),
-            "invariants": invariants,
-        }
-
-
-def _from_matrix(pairs: np.ndarray) -> GcdGraph:
-    """G_n from an n x n bool matrix where cell (a, b) or (b, a) marks the pair
-    {a, b}: the diagonal holds the loops, the rest packs into the row masks."""
-    both = pairs | pairs.T
-    loops = frozenset(np.flatnonzero(both.diagonal()).tolist())
-    np.fill_diagonal(both, False)
-    packed = np.packbits(both, axis=1, bitorder="little")
-    adjacency = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
-    return GcdGraph(n=len(pairs), adjacency=adjacency, loops=loops)
-
-
-def graph_from_json_dict(payload: dict) -> GcdGraph:
-    n = int(payload["n"])
-    cells = [*payload["edges"], *([a, a] for a in payload["loops"])]  # a loop is the pair {a, a}
-    pairs = np.zeros((n, n), dtype=bool)
-    pairs[tuple(np.array(cells, dtype=np.intp).reshape(-1, 2).T)] = True
-    return _from_matrix(pairs)
 
 
 @dataclass(frozen=True)
@@ -145,10 +115,15 @@ def build(n: int) -> GcdGraph:
     with itself."""
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
-    pairs = np.zeros((n, n), dtype=bool)
+    pairs = np.zeros((n, n), dtype=bool)  # cell (a, b) or (b, a) marks the pair {a, b}
     for a, mask in row_masks(n):
         pairs[a, a:] = mask
-    return _from_matrix(pairs)
+    pairs |= pairs.T
+    loops = frozenset(np.flatnonzero(pairs.diagonal()).tolist())
+    np.fill_diagonal(pairs, False)  # the rest packs into the row masks
+    packed = np.packbits(pairs, axis=1, bitorder="little")
+    adjacency = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+    return GcdGraph(n=n, adjacency=adjacency, loops=loops)
 
 
 def _bits(mask: int) -> list[int]:
@@ -451,18 +426,9 @@ def is_planar(g: GcdGraph) -> bool:
 
     graph = nx.Graph()
     graph.add_nodes_from(range(g.n))
-    graph.add_edges_from(g.sorted_edges())
+    graph.add_edges_from(g.simple_edges)
     planar, _ = nx.check_planarity(graph)
     return planar
-
-
-def export_dot(g: GcdGraph) -> str:
-    """Undirected DOT text: loops first, then edges in lexicographic order."""
-    lines = [f"graph G{g.n} {{"]
-    lines += [f"{a} -- {a};" for a in sorted(g.loops)]
-    lines += [f"{a} -- {b};" for a, b in g.sorted_edges()]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def analyze(g: GcdGraph, bounds: SearchBounds = DEFAULT_BOUNDS) -> tuple[dict, list[str]]:

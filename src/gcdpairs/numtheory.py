@@ -15,11 +15,6 @@ from functools import lru_cache
 import numpy as np
 
 
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor, with gcd(0, 0) == 0."""
-    return math.gcd(a, b)
-
-
 def is_prime(n: int) -> bool:
     """Trial division with a 2/3 wheel; enough for 64-bit desk-scale inputs."""
     if n < 2:

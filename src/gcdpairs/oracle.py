@@ -43,7 +43,7 @@ def naive_enumerate(n: int) -> PairSet:
             g = _gcd(a, b)
             if g > 0 and n % g == 0:
                 pairs.append((a, b))
-    return PairSet(n=n, pairs=tuple(pairs), label="full")
+    return PairSet(n=n, pairs=tuple(pairs))
 
 
 def naive_count(n: int) -> int:

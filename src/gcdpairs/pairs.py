@@ -1,5 +1,4 @@
-"""gcd-pairs in Z_n: enumeration, restriction, counting, and the zero-divisor
-partition with its unit-group matching.
+"""gcd-pairs in Z_n: enumeration, counting, and the zero-divisor partition.
 
 A gcd-pair in Z_n is an unordered pair {a, b} of residues 0 <= a, b < n with
 gcd(a, b) | n. Pairs are stored canonically as (a, b) tuples with a <= b, and
@@ -30,54 +29,17 @@ from .numtheory import (
 
 
 @dataclass(frozen=True)
-class GcdPair:
-    """A validated single gcd-pair; collections use bare (a, b) tuples instead."""
-
-    n: int
-    a: int
-    b: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.n}")
-        if not 0 <= self.a <= self.b < self.n:
-            raise ValueError(f"need 0 <= a <= b < n, got a={self.a}, b={self.b}, n={self.n}")
-        if not is_gcd_pair(self.n, self.a, self.b):
-            g = gcd(self.a, self.b)
-            raise ValueError(f"gcd({self.a},{self.b}) = {g} does not divide {self.n}")
-
-
-@dataclass(frozen=True)
 class PairSet:
-    """A deduplicated, lexicographically ordered collection of gcd-pairs.
-
-    `label` says which set this is ("full", "units", "zero-divisors", or
-    "subset:..."); for restrictions `subset` carries the actual residue set.
-    """
+    """A deduplicated, lexicographically ordered collection of gcd-pairs."""
 
     n: int
     pairs: tuple[tuple[int, int], ...]
-    label: str = "full"
-    subset: frozenset[int] | None = None
 
     def __len__(self) -> int:
         return len(self.pairs)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(self.pairs)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "n": self.n,
-            "label": self.label,
-            "pairs": [[a, b] for a, b in self.pairs],
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "PairSet":
-        pairs = tuple((int(a), int(b)) for a, b in payload["pairs"])
-        return cls(n=int(payload["n"]), pairs=pairs, label=str(payload["label"]))
 
 
 class ElementClasses(NamedTuple):
@@ -113,18 +75,11 @@ class CountResult:
         return {"value": self.value, "kind": self.kind.value, "provenance": self.provenance}
 
 
-def canonical_residue(n: int, x: int) -> int:
-    """The unique r in [0, n) with x == r (mod n); negatives welcome."""
-    if n < 1:
-        raise ValueError(f"modulus must be >= 1, got {n}")
-    return x % n
-
-
 def is_gcd_pair(n: int, x: int, y: int) -> bool:
     """Reduce x, y mod n and test gcd | n; (0, 0) is never a pair."""
-    a = canonical_residue(n, x)
-    b = canonical_residue(n, y)
-    g = gcd(a, b)
+    if n < 1:
+        raise ValueError(f"modulus must be >= 1, got {n}")
+    g = gcd(x % n, y % n)
     return g > 0 and n % g == 0
 
 
@@ -176,23 +131,6 @@ def iter_pairs(n: int) -> Iterator[tuple[int, int]]:
     for a, mask in row_masks(n):
         for b in (np.flatnonzero(mask) + a).tolist():
             yield (a, b)
-
-
-def enumerate_pairs(n: int) -> PairSet:
-    """The full gcd-pair set of Z_n, materialized."""
-    return PairSet(n=n, pairs=tuple(iter_pairs(n)), label="full")
-
-
-def restrict(ps: PairSet, subset: Iterable[int], label: str | None = None) -> PairSet:
-    """Pairs of `ps` with both endpoints in `subset`."""
-    chosen = frozenset(subset)
-    for x in chosen:
-        if not 0 <= x < ps.n:
-            raise ValueError(f"subset element {x} outside [0, {ps.n})")
-    kept = tuple(p for p in ps.pairs if p[0] in chosen and p[1] in chosen)
-    if label is None:
-        label = "subset:" + ",".join(map(str, sorted(chosen)))
-    return PairSet(n=ps.n, pairs=kept, label=label, subset=chosen)
 
 
 def classify_elements(n: int) -> ElementClasses:
@@ -253,8 +191,8 @@ def divisor_cell_sum_bound(n: int) -> CountResult:
     """General composite bound: zero-divisor pairs of Z_n number at least the sum,
     over nontrivial divisors d of n, of the unit-restricted pair counts of Z_{n/d}.
 
-    Each cell S'_d matches the unit-restricted pairs of Z_{n/d} one-to-one
-    (see cell_unit_matching); cross-cell pairs make the inequality strict in general.
+    Each cell S'_d matches the unit-restricted pairs of Z_{n/d} one-to-one by
+    {a, b} -> {a/d, b/d}; cross-cell pairs make the inequality strict in general.
     """
     if n < 2:
         raise ValueError(f"divisor_cell_sum_bound requires n >= 2, got {n}")
@@ -308,27 +246,3 @@ def count_zero_divisor_closed(n: int) -> CountResult:
     if len(proper) == 2 and is_prime(proper[0]) and is_prime(proper[1]):
         return semiprime_zero_divisor_bound(proper[0], proper[1])
     return divisor_cell_sum_bound(n)
-
-
-def cell_unit_matching(n: int, d: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """The bijection between pairs inside the cell S'_d and the unit-restricted
-    pairs of Z_m, m = n/d: {r*d, s*d} <-> {r, s}.
-
-    Returns the complete matching as ((rd, sd), (r, s)) entries, lexicographic by
-    the left pair. Both projections are validated to be exactly the two pair sets.
-    """
-    if n < 2:
-        raise ValueError(f"cell_unit_matching requires n >= 2, got {n}")
-    partition = zero_divisor_partition(n)
-    if d not in partition.cells:
-        raise ValueError(f"{d} is not a proper nontrivial divisor of {n} with a nonempty cell")
-    m = n // d
-    cell = partition.cells[d]
-    left = restrict(enumerate_pairs(n), cell, label=f"cell:{d}")
-    units = classify_elements(m).units
-    right = restrict(enumerate_pairs(m), units, label="units")
-    matching = [((a, b), (a // d, b // d)) for a, b in left.pairs]
-    image = sorted(pair for _, pair in matching)
-    if image != sorted(right.pairs) or len(matching) != len(set(image)):
-        raise AssertionError(f"cell-to-unit matching failed for n={n}, d={d}")
-    return matching

@@ -12,7 +12,8 @@ from pathlib import Path
 
 from gcdpairs import oracle
 from gcdpairs.cli import main
-from gcdpairs.pairs import PairSet
+from gcdpairs.graph import analyze, build
+from gcdpairs.pairs import iter_pairs
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -119,7 +120,7 @@ def test_list_json_is_json_dumps_of_the_pair_set(capsys):
     for n in [*range(1, 101), 101, 128, 150, 199, 200]:
         for kind in _subset_kinds(n):
             label, pairs = _reference_pairs(n, kind)
-            payload = PairSet(n=n, pairs=pairs, label=label).to_json_dict()
+            payload = {"schema": 1, "n": n, "label": label, "pairs": [[a, b] for a, b in pairs]}
             code, out, _ = run(capsys, "list", str(n), "--json", "--subset", kind)
             assert (code, out) == (0, json.dumps(payload, indent=2) + "\n"), (n, kind)
 
@@ -231,6 +232,63 @@ def test_graph_dot_unwritable(capsys):
     assert code == 2 and "cannot write" in err
 
 
+def test_graph_dot_and_json_on_stdout_is_a_usage_error(capsys):
+    for argv in (("5", "--dot", "-", "--json"), ("5", "--json", "--dot", "-", "--analyze")):
+        assert run(capsys, "graph", *argv) == (
+            2, "", "gcdpairs graph: --dot - and --json both write stdout\n"
+        ), argv
+
+
+def _graph_payload(g, invariants=None, notes=()):
+    """What `graph --json` prints for g, as one json.dumps payload."""
+    edges = [[a, b] for a, b in sorted(g.simple_edges)]
+    return {"schema": 1, "n": g.n, "edges": edges, "loops": sorted(g.loops),
+            "invariants": invariants, "notes": list(notes)}
+
+
+def test_graph_json_and_text_match_build(capsys):
+    # json.dumps(indent=2) runs in pure Python, so above 100 only a sample of n
+    for n in [*range(1, 101), 128, 150, 210, 256, 299, 300]:
+        g = build(n)
+        code, out, _ = run(capsys, "graph", str(n), "--json")
+        assert (code, out) == (0, json.dumps(_graph_payload(g), indent=2) + "\n"), n
+        code, out, _ = run(capsys, "graph", str(n))
+        summary = f"G_{n}: {n} vertices, {g.edge_count()} edges, {len(g.loops)} loops\n"
+        assert (code, out) == (0, summary), n
+    _, out, _ = run(capsys, "graph", "1", "--json")
+    assert '  "edges": [],\n' in out
+
+
+def test_graph_analyze_json_matches_analyze(capsys):
+    for n in range(1, 31):
+        g = build(n)
+        payload = _graph_payload(g, *analyze(g))
+        code, out, _ = run(capsys, "graph", str(n), "--analyze", "--json")
+        assert (code, out) == (0, json.dumps(payload, indent=2) + "\n"), n
+
+
+def test_graph_dot_matches_build(capsys):
+    for n in range(1, 101):
+        g = build(n)
+        lines = [f"graph G{n} {{", *(f"{a} -- {a};" for a in sorted(g.loops))]
+        lines += [f"{a} -- {b};" for a, b in sorted(g.simple_edges)]
+        code, out, _ = run(capsys, "graph", str(n), "--dot", "-")
+        assert (code, out) == (0, "\n".join(lines) + "\n}\n"), n
+
+
+def test_graph_exports_do_not_build_the_graph(monkeypatch, tmp_path, capsys):
+    from gcdpairs import cli
+
+    def refuse(n):
+        raise AssertionError("build called")
+
+    monkeypatch.setattr(cli, "build", refuse)
+    target = tmp_path / "g.dot"
+    for argv in ((), ("--json",), ("--dot", "-"), ("--dot", str(target), "--json")):
+        code, out, _ = run(capsys, "graph", "40", *argv)
+        assert code == 0 and out, argv
+
+
 def test_verify_filter_and_exit(capsys):
     code, out, _ = run(capsys, "verify", "--claims", "errata")
     assert code == 0
@@ -316,10 +374,8 @@ def test_outputs_are_deterministic(capsys):
 
 
 def test_list_30_count_matches_library(capsys):
-    from gcdpairs.pairs import enumerate_pairs
-
     _, out, _ = run(capsys, "list", "30")
-    assert out.splitlines()[-1] == f"The number of gcd-pairs is {len(enumerate_pairs(30))}"
+    assert out.splitlines()[-1] == f"The number of gcd-pairs is {len(tuple(iter_pairs(30)))}"
 
 
 # stdout sha256 of `gcdpairs graph ...`, recorded from the earlier edge-set
@@ -542,7 +598,12 @@ def test_analyze_beyond_the_euler_bound_leaves_networkx_unloaded():
 def test_closed_pipe_shared_with_stderr_exits_2():
     """stdout and stderr on one pipe: the message about the closed pipe cannot be
     written either, and the exit code is still 2."""
-    for argv in (["list", "3000"], ["graph", "300", "--json"]):
+    for argv in (
+        ["list", "3000"],
+        ["graph", "300", "--json"],
+        ["graph", "3000", "--json"],
+        ["graph", "3000", "--dot", "-"],
+    ):
         proc = subprocess.Popen(
             [sys.executable, "-m", "gcdpairs", *argv],
             stdout=subprocess.PIPE,
@@ -552,6 +613,27 @@ def test_closed_pipe_shared_with_stderr_exits_2():
         assert proc.stdout.readline()
         proc.stdout.close()
         assert proc.wait(timeout=60) == 2, argv
+
+
+# A child's ru_maxrss starts from the RSS of the process that forked it, so
+# the command is spawned from a bare interpreter, not from this test process.
+_PEAK_RSS = """\
+import os, sys
+argv = [sys.executable, "-m", "gcdpairs", *sys.argv[1:]]
+quiet = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+_, status, usage = os.wait4(os.posix_spawn(argv[0], argv, os.environ, file_actions=quiet), 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_graph_json_streams_in_bounded_memory():
+    # the whole edge list as one payload peaked at 670 MB
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", _PEAK_RSS, "graph", "2000", "--json"],
+        env=_subprocess_env(), capture_output=True, check=True, timeout=60,
+    ).stdout
+    code, peak_kib = map(int, out.split())
+    assert code == 0 and peak_kib < 100 * 1024, peak_kib
 
 
 def test_invariant_table_output_digest():

@@ -17,8 +17,6 @@ from gcdpairs.graph import (
     clique_construction,
     domination_number,
     embedding_check,
-    export_dot,
-    graph_from_json_dict,
     greedy_coloring,
     hamiltonian_cycle,
     hamiltonian_path,
@@ -30,12 +28,26 @@ from gcdpairs.graph import (
     star_subgraph,
 )
 from gcdpairs.numtheory import divisors, primes_below
-from gcdpairs.pairs import enumerate_pairs, is_gcd_pair
+from gcdpairs.cli import main
+from gcdpairs.pairs import is_gcd_pair, iter_pairs
+
+
+def _graph(n, edges):
+    adjacency = [0] * n
+    for a, b in edges:
+        adjacency[a] |= 1 << b
+        adjacency[b] |= 1 << a
+    return GcdGraph(n, tuple(adjacency), frozenset())
+
+
+def _dot(capsys, n):
+    assert main(["graph", str(n), "--dot", "-"]) == 0
+    return capsys.readouterr().out
 
 
 def test_build_g5_matches_figure():
     g = build(5)
-    assert g.sorted_edges() == [(0, 1), (1, 2), (1, 3), (1, 4), (2, 3), (3, 4)]
+    assert sorted(g.simple_edges) == [(0, 1), (1, 2), (1, 3), (1, 4), (2, 3), (3, 4)]
     assert g.loops == frozenset({1})
 
 
@@ -54,7 +66,7 @@ def test_build_g1_and_g6():
 @settings(max_examples=40)
 def test_build_matches_pair_set(n):
     g = build(n)
-    pairs = set(enumerate_pairs(n).pairs)
+    pairs = set(iter_pairs(n))
     assert {(a, b) for a, b in g.simple_edges} == {(a, b) for a, b in pairs if a != b}
     assert g.loops == {a for a, b in pairs if a == b}
     assert g.loops == {a for a in range(1, n) if n % a == 0}
@@ -269,19 +281,16 @@ def test_planarity_threshold_to_30():
         g = build(n)
         graph = nx.Graph()
         graph.add_nodes_from(range(n))
-        graph.add_edges_from(g.sorted_edges())
+        graph.add_edges_from(g.simple_edges)
         assert is_planar(g) == nx.check_planarity(graph)[0] == (n <= 7 and n != 6), n
 
 
 def test_planarity_at_the_euler_bound():
-    def graph(n, edges):
-        return graph_from_json_dict({"n": n, "edges": edges, "loops": []})
-
     k5 = list(itertools.combinations(range(5), 2))
-    assert is_planar(graph(4, list(itertools.combinations(range(4), 2))))  # K4: 6 = 3v - 6 edges
-    assert is_planar(graph(5, k5[1:]))  # K5 minus an edge: 9 = 3v - 6
-    assert not is_planar(graph(5, k5))  # 10 > 3v - 6
-    assert not is_planar(graph(6, [(a, b) for a in range(3) for b in range(3, 6)]))  # K3,3
+    assert is_planar(_graph(4, list(itertools.combinations(range(4), 2))))  # K4: 6 = 3v - 6 edges
+    assert is_planar(_graph(5, k5[1:]))  # K5 minus an edge: 9 = 3v - 6
+    assert not is_planar(_graph(5, k5))  # 10 > 3v - 6
+    assert not is_planar(_graph(6, [(a, b) for a in range(3) for b in range(3, 6)]))  # K3,3
 
 
 def test_k5_threshold_to_60():
@@ -292,29 +301,18 @@ def test_k5_threshold_to_60():
         assert has_k5 == (n >= 6 and n != 7), n
 
 
-def test_export_dot_goldens():
-    assert export_dot(build(2)) == "graph G2 {\n1 -- 1;\n0 -- 1;\n}\n"
-    assert export_dot(build(1)) == "graph G1 {\n}\n"
-    g5 = export_dot(build(5))
-    lines = g5.splitlines()
+def test_export_dot_goldens(capsys):
+    assert _dot(capsys, 2) == "graph G2 {\n1 -- 1;\n0 -- 1;\n}\n"
+    assert _dot(capsys, 1) == "graph G1 {\n}\n"
+    lines = _dot(capsys, 5).splitlines()
     assert lines[0] == "graph G5 {" and lines[-1] == "}"
     assert sum("--" in line for line in lines) == 7  # 6 edges + 1 loop
 
 
-def test_export_dot_distinct_and_stable():
-    texts = {export_dot(build(n)) for n in range(1, 40)}
+def test_export_dot_distinct_and_stable(capsys):
+    texts = {_dot(capsys, n) for n in range(1, 40)}
     assert len(texts) == 39
-    assert export_dot(build(9)) == export_dot(build(9))
-
-
-def test_graph_json_round_trip():
-    for n in (1, 2, 10, 37, 60):
-        g = build(n)
-        invariants, _ = analyze(g)
-        payload = g.to_json_dict(invariants)
-        rebuilt = graph_from_json_dict(payload)
-        assert rebuilt == g, n
-        assert rebuilt.to_json_dict(invariants) == payload, n
+    assert _dot(capsys, 9) == _dot(capsys, 9)
 
 
 def test_analyze_reports():

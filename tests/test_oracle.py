@@ -1,25 +1,25 @@
 """Oracle self-checks and the central cross-validation against the fast paths."""
 
 import math
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcdpairs import oracle
 from gcdpairs.graph import (
+    GcdGraph,
     PathWitness,
     build,
     chromatic_number,
     domination_number,
-    graph_from_json_dict,
     max_clique,
 )
 from gcdpairs.pairs import (
     classify_elements,
     count_pairs,
-    enumerate_pairs,
     iter_pairs,
     residue_mask,
 )
@@ -37,9 +37,14 @@ def test_naive_count_matches_naive_enumerate():
 
 
 def test_fast_enumeration_equals_oracle_to_500():
-    # the central cross-validation property: element-for-element equality
+    # the central cross-validation property: element-for-element equality, with
+    # the reference pairs (a, b), a <= b, read off the oracle's gcd table in
+    # row-major order; the tuples themselves are compared to 150 below
+    table = oracle.GcdTable(501)
     for n in range(1, 501):
-        assert enumerate_pairs(n).pairs == oracle.naive_enumerate(n).pairs, n
+        streamed = np.fromiter(chain.from_iterable(iter_pairs(n)), dtype=np.intp)
+        reference = np.argwhere(np.triu(n % table.rows(n) == 0))
+        assert np.array_equal(streamed.reshape(-1, 2), reference), n
 
 
 def test_row_counts_and_rows_equal_euclid_oracle_to_150():
@@ -91,7 +96,11 @@ def test_clique_cross_validation_to_26():
 
 
 def _graph(n, edges):
-    return graph_from_json_dict({"n": n, "edges": edges, "loops": []})
+    adjacency = [0] * n
+    for a, b in edges:
+        adjacency[a] |= 1 << b
+        adjacency[b] |= 1 << a
+    return GcdGraph(n, tuple(adjacency), frozenset())
 
 
 @st.composite

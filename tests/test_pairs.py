@@ -1,7 +1,9 @@
 """gcd-pair enumeration, restriction, and counting against the worked examples
 and the documented invariants."""
 
+import json
 import math
+from functools import cache
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gcdpairs import oracle, pairs
+from gcdpairs.cli import main
 from gcdpairs.numtheory import (
     PrimePower,
     is_prime,
@@ -19,19 +22,15 @@ from gcdpairs.numtheory import (
 )
 from gcdpairs.pairs import (
     CountKind,
-    GcdPair,
-    PairSet,
-    canonical_residue,
-    cell_unit_matching,
     classify_elements,
     composite_lower_bound,
+    count_pairs,
     count_prime_power_formula,
     count_zero_divisor_closed,
     divisor_cell_sum_bound,
-    enumerate_pairs,
     is_gcd_pair,
     iter_pairs,
-    restrict,
+    residue_mask,
     semiprime_zero_divisor_bound,
     zero_divisor_partition,
 )
@@ -59,28 +58,40 @@ NU_15_ZERO_DIVISORS = (
 NU_8_ZERO_DIVISORS = ((2, 2), (2, 4), (2, 6), (4, 4), (4, 6))
 
 
+def _restricted(pairs, subset):
+    """The pairs with both ends in subset, filtered one by one."""
+    return tuple((a, b) for a, b in pairs if a in subset and b in subset)
+
+
+def _listed(capsys, *argv):
+    """The pairs `gcdpairs list argv` prints, parsed back from its text."""
+    assert main(["list", *argv]) == 0
+    lines = capsys.readouterr().out.splitlines()[:-1]
+    return tuple(tuple(map(int, line.strip("{}").split(","))) for line in lines)
+
+
 def test_enumerate_z6_reproduces_the_example():
-    assert enumerate_pairs(6).pairs == NU_6
+    assert tuple(iter_pairs(6)) == NU_6
 
 
 def test_enumerate_z9_reproduces_the_example():
-    assert enumerate_pairs(9).pairs == NU_9
+    assert tuple(iter_pairs(9)) == NU_9
 
 
 def test_enumerate_z4():
-    assert enumerate_pairs(4).pairs == NU_4
+    assert tuple(iter_pairs(4)) == NU_4
 
 
 def test_enumerate_z1_is_empty():
-    assert enumerate_pairs(1).pairs == ()
+    assert tuple(iter_pairs(1)) == ()
 
 
-def test_canonical_residue():
-    assert canonical_residue(9, 13) == 4
-    assert canonical_residue(9, -2) == 7
-    assert canonical_residue(6, 6) == 0
-    with pytest.raises(ValueError):
-        canonical_residue(0, 1)
+def test_canonical_residue(capsys):
+    # `check` reduces both inputs to their residues in [0, n), negatives included
+    for n, x, y, residues in ((9, 13, -2, [4, 7]), (6, 6, 1, [0, 1]), (9, -9, 0, [0, 0])):
+        main(["check", str(n), str(x), str(y), "--json"])
+        assert json.loads(capsys.readouterr().out)["residues"] == residues, (n, x, y)
+    assert main(["check", "0", "1", "2"]) == 2
 
 
 def test_is_gcd_pair_examples():
@@ -88,6 +99,9 @@ def test_is_gcd_pair_examples():
     assert not is_gcd_pair(9, 4, 6)
     assert not is_gcd_pair(9, 4, 8)
     assert not is_gcd_pair(6, 0, 0)
+    for bad in (0, -6):
+        with pytest.raises(ValueError, match=f"modulus must be >= 1, got {bad}"):
+            is_gcd_pair(bad, 2, 4)
 
 
 @given(st.integers(1, 200), st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
@@ -116,44 +130,31 @@ def test_unit_members_pair_only_coprimes(n, data):
         assert math.gcd(a, b) == 1
 
 
-def test_gcd_pair_type_validates():
-    GcdPair(6, 2, 4)
-    with pytest.raises(ValueError):
-        GcdPair(6, 4, 2)  # non-canonical order
-    with pytest.raises(ValueError):
-        GcdPair(9, 4, 6)  # gcd does not divide
-    with pytest.raises(ValueError):
-        GcdPair(6, 0, 0)
-
-
 def test_pairset_members_satisfy_invariants():
     for n in (1, 2, 6, 9, 12, 30):
-        ps = enumerate_pairs(n)
-        assert list(ps.pairs) == sorted(set(ps.pairs))
-        for a, b in ps.pairs:
-            GcdPair(n, a, b)  # raises if invalid
+        streamed = tuple(iter_pairs(n))
+        assert list(streamed) == sorted(set(streamed))
+        for a, b in streamed:
+            assert 0 <= a <= b < n and is_gcd_pair(n, a, b), (n, a, b)
 
 
-def test_restrict_to_zero_divisors_of_6():
-    restricted = restrict(enumerate_pairs(6), classify_elements(6).zero_divisors)
-    assert restricted.pairs == NU_6_ZERO_DIVISORS
-    assert restricted.subset == frozenset({2, 3, 4})
+def test_restrict_to_zero_divisors_of_6(capsys):
+    assert _listed(capsys, "6", "--subset", "zero-divisors") == NU_6_ZERO_DIVISORS
+    assert _listed(capsys, "6", "--subset", "2,3,4") == NU_6_ZERO_DIVISORS
 
 
-def test_restrict_to_zero_divisors_of_15():
-    restricted = restrict(enumerate_pairs(15), classify_elements(15).zero_divisors)
-    assert restricted.pairs == NU_15_ZERO_DIVISORS
+def test_restrict_to_zero_divisors_of_15(capsys):
+    assert _listed(capsys, "15", "--subset", "zero-divisors") == NU_15_ZERO_DIVISORS
 
 
-def test_restrict_to_zero_divisors_of_8_uses_4():
-    restricted = restrict(enumerate_pairs(8), classify_elements(8).zero_divisors)
-    assert restricted.pairs == NU_8_ZERO_DIVISORS
+def test_restrict_to_zero_divisors_of_8_uses_4(capsys):
+    assert _listed(capsys, "8", "--subset", "zero-divisors") == NU_8_ZERO_DIVISORS
 
 
-def test_restrict_empty_and_validation():
-    assert restrict(enumerate_pairs(10), frozenset()).pairs == ()
-    with pytest.raises(ValueError):
-        restrict(enumerate_pairs(10), {10})
+def test_restrict_empty_and_validation(capsys):
+    assert count_pairs(10, residue_mask(10, ())) == (len(tuple(iter_pairs(10))), 0)
+    assert main(["list", "10", "--subset", "10"]) == 2
+    assert capsys.readouterr().err == "gcdpairs list: residue 10 outside [0, 10)\n"
 
 
 def test_classify_elements_examples():
@@ -206,7 +207,7 @@ def test_prime_power_formula_matches_enumeration_to_512():
         k = 1
         while p**k <= 512:
             assert count_prime_power_formula(PrimePower(p, k)).value == len(
-                enumerate_pairs(p**k)
+                tuple(iter_pairs(p**k))
             )
             k += 1
 
@@ -225,7 +226,7 @@ def test_composite_bound_is_strict_to_300():
     for n in range(4, 301):
         if is_prime(n):
             continue
-        assert len(enumerate_pairs(n)) > composite_lower_bound(n).value
+        assert len(tuple(iter_pairs(n))) > composite_lower_bound(n).value
 
 
 def test_count_zero_divisor_closed_examples():
@@ -246,12 +247,12 @@ def test_semiprime_bound_reproduces_15():
     bound = semiprime_zero_divisor_bound(3, 5)
     assert bound.value == 13
     assert bound.kind is CountKind.LOWER_BOUND
-    actual = len(restrict(enumerate_pairs(15), classify_elements(15).zero_divisors))
+    actual = _zero_divisor_pair_count(15)
     assert actual == 14 >= bound.value
 
 
 def _zero_divisor_pair_count(n: int) -> int:
-    return len(restrict(enumerate_pairs(n), classify_elements(n).zero_divisors))
+    return len(_restricted(iter_pairs(n), classify_elements(n).zero_divisors))
 
 
 @given(st.integers(2, 400))
@@ -269,53 +270,53 @@ def test_divisor_cell_sum_bound_holds(n):
     assert divisor_cell_sum_bound(n).value <= _zero_divisor_pair_count(n)
 
 
+@cache
+def _naive_pairs(n):
+    return oracle.naive_enumerate(n).pairs
+
+
+def _cell_unit_matching(n, d):
+    """{a, b} -> {a/d, b/d} over the gcd-pairs inside the cell S'_d of Z_n, as
+    (left, right) entries, with the unit pairs of Z_{n/d} it should hit; both
+    sides come from the oracle's definition."""
+    cell = zero_divisor_partition(n).cells[d]
+    left = _restricted(_naive_pairs(n), cell)
+    m = n // d
+    right = _restricted(_naive_pairs(m), classify_elements(m).units) if m >= 2 else ()
+    return [((a, b), (a // d, b // d)) for a, b in left], right
+
+
 def test_cell_unit_matching_examples():
-    matching = cell_unit_matching(15, 3)
+    matching, units = _cell_unit_matching(15, 3)
     assert [left for left, _ in matching] == [
         (3, 3), (3, 6), (3, 9), (3, 12), (6, 9), (9, 12)
     ]
     assert sorted(right for _, right in matching) == [
         (1, 1), (1, 2), (1, 3), (1, 4), (2, 3), (3, 4)
-    ]
-    assert cell_unit_matching(6, 3) == [((3, 3), (1, 1))]
-    with pytest.raises(ValueError):
-        cell_unit_matching(15, 15)
-    with pytest.raises(ValueError):
-        cell_unit_matching(15, 4)
+    ] == sorted(units)
+    assert _cell_unit_matching(6, 3) == ([((3, 3), (1, 1))], ((1, 1),))
 
 
-@given(st.integers(2, 200), st.data())
-def test_cell_unit_matching_is_a_bijection(n, data):
-    cells = sorted(zero_divisor_partition(n).cells)
-    if not cells:
-        return
-    d = data.draw(st.sampled_from(cells))
-    matching = cell_unit_matching(n, d)
-    m = n // d
-    units = classify_elements(m).units if m >= 2 else frozenset()
-    unit_pairs = restrict(enumerate_pairs(m), units).pairs if m >= 2 else ()
-    assert sorted(right for _, right in matching) == sorted(unit_pairs)
-    assert len({right for _, right in matching}) == len(matching)
-
-
-def test_pairset_json_round_trip():
-    ps = restrict(enumerate_pairs(12), classify_elements(12).zero_divisors, label="zero-divisors")
-    payload = ps.to_json_dict()
-    rebuilt = PairSet.from_json_dict(payload)
-    assert rebuilt.to_json_dict() == payload
-    assert (rebuilt.n, rebuilt.label, rebuilt.pairs) == (ps.n, ps.label, ps.pairs)
+def test_cell_unit_matching_is_a_bijection():
+    # the lemma behind divisor_cell_sum_bound, for every cell of every n <= 200
+    for n in range(2, 201):
+        for d in zero_divisor_partition(n).cells:
+            matching, units = _cell_unit_matching(n, d)
+            image = sorted(right for _, right in matching)
+            assert image == sorted(units), (n, d)
+            assert len(set(image)) == len(matching), (n, d)
 
 
 def test_iter_pairs_streams_in_lexicographic_order():
     for n in (1, 2, 7, 12, 45):
         streamed = list(iter_pairs(n))
         assert streamed == sorted(streamed)
-        assert tuple(streamed) == enumerate_pairs(n).pairs
+        assert tuple(streamed) == oracle.naive_enumerate(n).pairs
 
 
 def test_divisor_cell_sum_bound_equals_restricted_enumeration_to_300():
     unit_pairs = {
-        m: len(restrict(enumerate_pairs(m), classify_elements(m).units)) for m in range(2, 151)
+        m: len(_restricted(iter_pairs(m), classify_elements(m).units)) for m in range(2, 151)
     }
     for n in range(2, 301):
         expected = sum(unit_pairs[n // d] for d in nontrivial_divisors(n) if n // d >= 2)
