@@ -2,6 +2,9 @@
 
 Single values are plain nonnegative Python ints (desk scale; trial division,
 no probabilistic primality), and tables over 0..limit come from numpy sieves.
+The summatory totient and Mertens' function come from one Dirichlet-recursion
+kernel that sieves only up to about limit^(2/3), so their time and memory grow
+as about limit^(2/3), not as the limit.
 The one convention that matters downstream: gcd(0, 0) == 0, and 0 divides
 no positive modulus, so the pair {0, 0} is never a gcd-pair.
 """
@@ -11,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -80,12 +84,66 @@ def phi_partial_sum(limit: int) -> int:
     """Summatory totient: sum of phi(j) for 1 <= j <= limit (0 for limit = 0)."""
     if limit < 0:
         raise ValueError(f"phi_partial_sum requires limit >= 0, got {limit}")
-    return int(phi_sieve(limit).sum())
+    return summatory_totient(limit)(limit)
+
+
+def summatory_totient(limit: int) -> Callable[[int], int]:
+    """Phi(x) = sum of phi(1..x) for 0 <= x <= limit, as one function whose calls
+    share a sieve table and a memo. sum_{k=1..x} Phi(x // k) = x(x + 1)/2,
+    because each j <= x is the sum of phi(d) over its divisors d."""
+    return _dirichlet_summatory(lambda x: x * (x + 1) // 2, phi_sieve, limit)
+
+
+def mertens(limit: int) -> Callable[[int], int]:
+    """Mertens' M(x) = sum of mu(1..x) for 0 <= x <= limit, as one function whose
+    calls share a sieve table and a memo. sum_{k=1..x} M(x // k) = 1 for x >= 1,
+    because mu sums to 0 over the divisors of every j > 1."""
+    return _dirichlet_summatory(lambda x: 1, mobius_sieve, limit)
+
+
+def _sieve_cut(limit: int) -> int:
+    """The largest x that _dirichlet_summatory reads from its sieve table:
+    about limit^(2/3), and all of a small limit."""
+    return min(limit, max(1 << 12, round(limit ** (2 / 3))))
+
+
+def _dirichlet_summatory(
+    g: Callable[[int], int], sieve: Callable[[int], np.ndarray], limit: int
+) -> Callable[[int], int]:
+    """F(x) for 0 <= x <= limit, where F is the summatory function of `sieve`'s
+    values and sum_{k=1..x} F(x // k) = g(x) for x >= 1.
+
+    F(x) = g(x) - sum_{k=2..x} F(x // k), with the k grouped into blocks of
+    equal quotient (Deleglise and Rivat, Exp. Math. 5, 1996). Every quotient
+    of a quotient of x is a quotient of x, so one memo serves each x and each
+    of its quotients; those up to _sieve_cut(limit) are a prefix table of the
+    sieve. A call above the cut costs O(sqrt(x)) blocks, and the ones it
+    recurses into sum to O(x^(2/3))."""
+    cut = _sieve_cut(limit)
+    table = np.cumsum(sieve(cut)).tolist()
+    memo: dict[int, int] = {}
+
+    def summatory(x: int) -> int:
+        if x <= cut:
+            return table[x]
+        if x in memo:
+            return memo[x]
+        total = g(x)
+        k = 2
+        while k <= x:
+            q = x // k
+            next_k = x // q + 1  # the k' with x // k' == q are k <= k' < next_k
+            total -= (next_k - k) * summatory(q)
+            k = next_k
+        memo[x] = total
+        return total
+
+    return summatory
 
 
 def phi_sieve(limit: int) -> np.ndarray:
-    """phi(0..limit) as int64, with phi(0) = 0; every totient sum uses it. Must
-    agree with euler_phi everywhere (tested).
+    """phi(0..limit) as int64, with phi(0) = 0; the summatory totient's prefix
+    table is its cumulative sum. Must agree with euler_phi everywhere (tested).
 
     Only the primes p <= sqrt(limit) are sieved. Dividing them out of each m
     leaves 1 or the one prime factor of m above sqrt(limit), applied last."""

@@ -10,21 +10,21 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import gcd
-from typing import Iterable, Iterator, NamedTuple
+from math import gcd, isqrt
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .numtheory import (
     PrimePower,
     is_prime,
-    mobius_sieve,
+    mertens,
     nontrivial_divisors,
     phi_partial_sum,
-    phi_sieve,
     prime_factors,
     prime_power_decompose,
     smallest_prime_factors,
+    summatory_totient,
 )
 
 
@@ -158,8 +158,8 @@ def zero_divisor_partition(n: int) -> ZeroDivisorPartition:
 
 def count_prime_power_formula(pp: PrimePower) -> CountResult:
     """|full pair set of Z_{p^k}| = k + sum_{i=1..k} sum_{j=1..p^i - 1} phi(j)."""
-    phi_sums = np.cumsum(phi_sieve(pp.value - 1))  # phi_sums[x] = sum phi(1..x)
-    total = pp.k + sum(int(phi_sums[pp.p**i - 1]) for i in range(1, pp.k + 1))
+    phi_sum = summatory_totient(pp.value - 1)
+    total = pp.k + sum(phi_sum(pp.p**i - 1) for i in range(1, pp.k + 1))
     return CountResult(total, CountKind.EXACT, "prime-power-formula")
 
 
@@ -198,24 +198,42 @@ def divisor_cell_sum_bound(n: int) -> CountResult:
         raise ValueError(f"divisor_cell_sum_bound requires n >= 2, got {n}")
     # the d = n cell is empty: Z_1 has no pairs
     cofactors = [n // d for d in nontrivial_divisors(n) if d < n]
-    mu = mobius_sieve(max(cofactors, default=1))
-    total = sum(_unit_pair_count(m, mu) for m in cofactors)
+    mobius_sum = mertens(max(cofactors, default=1) - 1)
+    total = sum(_unit_pair_count(m, mobius_sum) for m in cofactors)
     return CountResult(total, CountKind.LOWER_BOUND, "divisor-cell-sum")
 
 
-def _unit_pair_count(m: int, mu: np.ndarray) -> int:
+def _unit_pair_count(m: int, mobius_sum: Callable[[int], int]) -> int:
     """Pairs a <= b among the units of Z_m, i.e. the units with gcd(a, b) = 1,
-    given mu = mobius_sieve(k) for some k >= m - 1; time and memory O(m).
+    given mobius_sum = mertens(k) for some k >= m - 1; time O(omega(m) sqrt(m))
+    plus the Mertens values, memory O(sqrt(m)).
 
-    Mobius inversion over d = gcd(a, b): the count is the sum, over d < m
-    coprime to m, of mu(d) * c(c + 1) / 2, where c is the number of units x
-    in 1..(m - 1) // d (a = d*x and b = d*y are units exactly when x, y are)."""
-    unit = np.ones(m, dtype=bool)
-    unit[0] = False
+    Mobius inversion over d = gcd(a, b): the count is the sum, over d <= N =
+    m - 1 coprime to m, of mu(d) * c(c + 1) / 2, where c = f(N // d) is the
+    number of units in 1..N // d (a = d*x and b = d*y are units exactly when
+    x, y are). The d with one quotient N // d form a block whose right end is
+    a quotient value v of N, and N // v runs over the same values descending.
+    The mu(d) of a block sum to A(v) - A(previous v), where A(x) is the sum of
+    mu(d) over the d <= x coprime to m.
+
+    f and A take m's primes one at a time, over the quotient values only, since
+    v // p is one again (or 0). With p added, f'(x) = f(x) - f(x // p), and
+    A'(x) = A(x) + A'(x // p), since the d = p*d' it drops have mu(d) = -mu(d');
+    f starts as f(x) = x and A as Mertens' M."""
+    n = m - 1
+    s = isqrt(n)
+    values = list(range(1, s + 1)) + [n // k for k in range(s, 0, -1) if n // k > s]
+    count = len(values)
+    coprime_sum = [mobius_sum(v) for v in values] + [0]  # [-1] is A(0) = 0
+    units = values + [0]  # [-1] is f(0) = 0
     for p in prime_factors(m):
-        unit[::p] = False
-    c = np.cumsum(unit)[(m - 1) // np.arange(1, m)]
-    return int(np.dot(mu[1:m] * unit[1:], c * (c + 1) // 2))
+        # the index of v // p among the values; -1 for v // p = 0
+        below = [w - 1 if w <= s else count - n // w for w in [v // p for v in values]]
+        units = [u - units[j] for u, j in zip(units, below)] + [0]
+        for i, j in enumerate(below):  # ascending, so coprime_sum[j] is A'(v // p)
+            coprime_sum[i] += coprime_sum[j]
+    blocks = zip(coprime_sum, [0] + coprime_sum[: count - 1], reversed(units[:count]))
+    return sum((a - b) * (c * (c + 1) // 2) for a, b, c in blocks)
 
 
 def count_zero_divisor_closed(n: int) -> CountResult:

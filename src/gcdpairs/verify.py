@@ -48,9 +48,9 @@ from .numtheory import (
     divisors,
     is_prime,
     nontrivial_divisors,
-    phi_sieve,
     prime_power_decompose,
     primes_below,
+    summatory_totient,
 )
 from .pairs import (
     CountKind,
@@ -257,13 +257,13 @@ def _claim_prime_power_count(limit: int, bounds: SearchBounds) -> Outcome:
     "composite n <= {limit}",
 )
 def _claim_composite_bound(limit: int, bounds: SearchBounds) -> Outcome:
-    phi_sums = np.cumsum(phi_sieve(limit)).tolist()  # phi_sums[x] = sum phi(1..x)
+    phi_sum = summatory_totient(limit)
     checked = 0
     for n in range(4, limit + 1):
         if is_prime(n):
             continue
         checked += 1
-        bound = 1 + phi_sums[n - 1]
+        bound = 1 + phi_sum(n - 1)
         actual = _table(limit).count(n)
         if not actual > bound:
             return Status.FAIL, f"count {actual} not above bound {bound} at n={n}", checked

@@ -239,6 +239,23 @@ def test_graph_dot_and_json_on_stdout_is_a_usage_error(capsys):
         ), argv
 
 
+def test_graph_dot_and_analyze_on_stdout_is_a_usage_error(monkeypatch, capsys):
+    # the invariant report was dropped after the DOT text, with exit 0
+    from gcdpairs import cli
+
+    code, out, _ = run(capsys, "graph", "8", "--analyze", "--dot", os.devnull)
+    assert code == 0 and out.splitlines()[-1] == "planar: False"  # a DOT file is fine
+
+    def refuse(n):
+        raise AssertionError("built G_n")
+
+    monkeypatch.setattr(cli, "build", refuse)
+    for argv in (("8", "--analyze", "--dot", "-"), ("8", "--dot", "-", "--analyze")):
+        assert run(capsys, "graph", *argv) == (
+            2, "", "gcdpairs graph: --dot - and --analyze both write stdout\n"
+        ), argv
+
+
 def _graph_payload(g, invariants=None, notes=()):
     """What `graph --json` prints for g, as one json.dumps payload."""
     edges = [[a, b] for a, b in sorted(g.simple_edges)]
@@ -348,10 +365,44 @@ def test_memory_error_is_a_one_line_usage_error(monkeypatch, capsys):
         raise MemoryError
 
     monkeypatch.setattr(cli, "_formula_counts", exhausted)
-    code, out, err = run(capsys, "count", "1000000000000", "--method", "formula")
+    code, out, err = run(capsys, "count", str(cli.FORMULA_MAX_N), "--method", "formula")
     assert code == 2
     assert out == ""
     assert err == "gcdpairs count: input too large for memory\n"
+
+
+def test_count_formula_bound_exits_2_before_any_work(monkeypatch, capsys):
+    from gcdpairs import cli
+
+    def refuse(*args):
+        raise AssertionError("no work above the bound")
+
+    for name in ("_formula_counts", "count_pairs", "classify_elements"):
+        monkeypatch.setattr(cli, name, refuse)
+    above = str(cli.FORMULA_MAX_N + 1)
+    message = f"gcdpairs count: the formulas take n <= {cli.FORMULA_MAX_N}, got {above}\n"
+    for argv in (("--method", "formula"), ("--method", "both"), ("--json",), ()):
+        assert run(capsys, "count", above, *argv) == (2, "", message), argv
+    # at the bound the formulas run: here a stub in their place
+    monkeypatch.setattr(cli, "_formula_counts", lambda n: (None, None))
+    code, out, _ = run(capsys, "count", str(cli.FORMULA_MAX_N), "--method", "formula")
+    assert code == 0 and out.splitlines()[0] == "formula total: unavailable"
+    assert f"count formula bound (fixed): n <= {cli.FORMULA_MAX_N}" in cli._EPILOG
+
+
+def test_count_formula_at_ten_million_in_flat_memory(capsys):
+    # two int64 totient tables of 10^7 entries peaked at 350 MB
+    code, out, _ = run(capsys, "count", "10000000", "--method", "formula")
+    assert code == 0 and out.splitlines() == [
+        "formula total: > 30396352427243 (strict-lower-bound, summatory-totient-bound)",
+        "formula zero divisors: >= 2627561832914 (lower-bound, divisor-cell-sum)",
+    ]
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", _PEAK_RSS, "count", "10000000", "--method", "formula"],
+        env=_subprocess_env(), capture_output=True, check=True, timeout=60,
+    ).stdout
+    code, peak_kib = map(int, out.split())
+    assert code == 0 and peak_kib < 60 * 1024, peak_kib
 
 
 def test_env_var_overrides_exact_bounds(monkeypatch, capsys):

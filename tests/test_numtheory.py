@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,7 +11,9 @@ from gcdpairs.numtheory import (
     PrimePower,
     divisors,
     euler_phi,
+    _sieve_cut,
     is_prime,
+    mertens,
     mobius_sieve,
     nontrivial_divisors,
     phi_partial_sum,
@@ -19,6 +22,7 @@ from gcdpairs.numtheory import (
     prime_power_decompose,
     primes_below,
     smallest_prime_factors,
+    summatory_totient,
 )
 from gcdpairs.oracle import _gcd as gcd  # the Euclid loop every oracle reference uses
 
@@ -81,6 +85,35 @@ def test_phi_partial_sum_is_an_exact_python_int():
     total = phi_partial_sum(10**6)
     assert type(total) is int
     assert total == 303963552392
+
+
+KERNELS = [(summatory_totient, phi_sieve), (mertens, mobius_sieve)]
+
+
+@pytest.mark.parametrize("kernel, sieve", KERNELS)
+def test_summatory_kernel_matches_the_sieve_sums_to_10000(kernel, sieve):
+    expected = np.cumsum(sieve(10**4)).tolist()
+    shared = kernel(10**4)  # its cut is 4096; the x above it share one memo
+    assert [shared(x) for x in range(10**4 + 1)] == expected
+
+
+@pytest.mark.parametrize("kernel, sieve", KERNELS)
+def test_summatory_kernel_on_both_sides_of_the_cut(kernel, sieve):
+    limit = 10**6
+    cut = _sieve_cut(limit)
+    assert cut == 10**4  # limit^(2/3): 101^2 and 997^2 lie above it, 97^2 below
+    expected = np.cumsum(sieve(limit)).tolist()
+    edges = [p * p + d for p in (2, 3, 5, 7, 97, 101, 997) for d in (-1, 0, 1)]
+    for x in edges + [cut - 1, cut, cut + 1, limit - 1, limit]:
+        assert kernel(limit)(x) == expected[x], x
+        assert kernel(x)(x) == expected[x], x
+
+
+def test_summatory_kernel_at_published_values():
+    # OEIS A064018 and A084237, far past the cut of about 2.2e5
+    total, mobius_total = phi_partial_sum(10**8), mertens(10**8)(10**8)
+    assert (total, mobius_total) == (3039635516365908, 1928)
+    assert type(total) is int and type(mobius_total) is int
 
 
 @pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 48, 49, 50, 1000])

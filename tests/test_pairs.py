@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gcdpairs import oracle, pairs
+from gcdpairs import numtheory, oracle, pairs
 from gcdpairs.cli import main
 from gcdpairs.numtheory import (
     PrimePower,
     is_prime,
-    mobius_sieve,
+    mertens,
     nontrivial_divisors,
     phi_sieve,
     primes_below,
@@ -325,24 +325,33 @@ def test_divisor_cell_sum_bound_equals_restricted_enumeration_to_300():
 
 def test_unit_pair_count_matches_the_gcd_table_below_1000():
     table = oracle.GcdTable(1000)
-    mu = mobius_sieve(999)
+    mobius_sum = mertens(998)
     for m in range(1, 1000):
         units = [x for x in range(m) if math.gcd(x, m) == 1]
-        assert pairs._unit_pair_count(m, mu) == table.count(m, units), m
+        assert pairs._unit_pair_count(m, mobius_sum) == table.count(m, units), m
+
+
+def test_divisor_cell_sum_bound_keeps_the_linear_sums_values():
+    # recorded from the O(m) Mobius sum over mobius_sieve that the quotient
+    # blocks replaced; 720720 and 7207200 have 240 and 432 divisors
+    expected = {720720: 6437631243, 7207200: 611794831020, 10**7: 2627561832914}
+    for n, value in expected.items():
+        assert divisor_cell_sum_bound(n).value == value, n
 
 
 def test_prime_power_formula_sieves_once(monkeypatch):
+    # one summatory-totient table serves every p^i - 1, and it stops at the cut
     limits = []
 
     def counted_sieve(limit):
         limits.append(limit)
         return phi_sieve(limit)
 
-    monkeypatch.setattr(pairs, "phi_sieve", counted_sieve)
-    for pp in (PrimePower(2, 18), PrimePower(3, 5), PrimePower(7, 1)):
+    monkeypatch.setattr(numtheory, "phi_sieve", counted_sieve)
+    for pp in (PrimePower(2, 18), PrimePower(3, 5), PrimePower(7, 1), PrimePower(2, 24)):
         limits.clear()
         count_prime_power_formula(pp)
-        assert limits == [pp.value - 1], pp
+        assert limits == [numtheory._sieve_cut(pp.value - 1)], pp
 
 
 @pytest.mark.parametrize("n", [243, 360, 1001, 1024, 2310])
