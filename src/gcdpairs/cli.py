@@ -34,6 +34,10 @@ from .verify import run_verification
 # highly composite, not powers of ten: 735134400 and 980179200 take about 6 s
 # and 100 MB on a 2-vCPU VM, against 2.4 s for 10^9 itself.
 FORMULA_MAX_N = 10**9
+# The largest n that count enumerates. count_pairs walks n row_masks rows of up
+# to n cells, so time grows as n^2: 200000 takes about 7 s and 57 MB, and the
+# prime 199999 about 9 s and 64 MB, on a 2-vCPU VM.
+ENUMERATE_MAX_N = 200_000
 
 _EPILOG = f"""\
 exact-search bounds (override all with GCDPAIRS_MAX_EXACT=<n>, n >= 1):
@@ -41,6 +45,7 @@ exact-search bounds (override all with GCDPAIRS_MAX_EXACT=<n>, n >= 1):
 oracle bounds (fixed): exhaustive clique {oracle.MAX_CLIQUE_N}, chromatic {oracle.MAX_CHROMATIC_N}, \
 cycles {oracle.MAX_CYCLE_N}, domination {oracle.MAX_DOMINATION_N}
 count formula bound (fixed): n <= {FORMULA_MAX_N} for --method formula and both
+count enumeration bound (fixed): n <= {ENUMERATE_MAX_N} for --method enumerate and both
 exit codes: 0 ok / 1 not a gcd-pair / 2 usage / 3 verification failure
 """
 
@@ -245,6 +250,9 @@ def cmd_count(args: argparse.Namespace) -> int:
     n = args.n
     if args.method != "enumerate" and n > FORMULA_MAX_N:
         print(f"gcdpairs count: the formulas take n <= {FORMULA_MAX_N}, got {n}", file=sys.stderr)
+        return 2
+    if args.method != "formula" and n > ENUMERATE_MAX_N:
+        print(f"gcdpairs count: enumeration takes n <= {ENUMERATE_MAX_N}, got {n}", file=sys.stderr)
         return 2
     enumerated: dict[str, int] | None = None
     formulas: tuple[CountResult | None, CountResult | None] | None = None

@@ -18,8 +18,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .numtheory import prime_power_decompose, primes_below
-from .pairs import is_gcd_pair, row_masks
+from .numtheory import prime_factors, prime_power_decompose, primes_below
+from .pairs import row_masks
 
 ENV_MAX_EXACT = "GCDPAIRS_MAX_EXACT"
 
@@ -247,18 +247,19 @@ def longest_cycle_constructive(g: GcdGraph) -> PathWitness:
     return _validate_path(g, PathWitness(vertices=tuple(range(1, g.n)), closed=True))
 
 
-def _clique_over(g: GcdGraph, cand: int, stop_at: int | None = None) -> int:
-    """Largest clique size within the candidate mask, branch and bound with a
-    greedy-coloring upper bound. Stops early once `stop_at` is reached."""
+def _first_max_clique(g: GcdGraph) -> int:
+    """Mask of the lexicographically smallest maximum clique: branch and bound
+    over ascending candidates with a greedy-coloring upper bound (Carraghan and
+    Pardalos, Oper. Res. Lett. 9, 1990). Cliques are met in lexicographic
+    order and one is kept only when strictly larger, so the first maximum met
+    is the one kept."""
     adj = g.adjacency
-    best = 0
+    best = best_clique = 0
 
-    def bb(size: int, cand: int) -> None:
-        nonlocal best
+    def bb(clique: int, size: int, cand: int) -> None:
+        nonlocal best, best_clique
         if size > best:
-            best = size
-        if stop_at is not None and best >= stop_at:
-            return
+            best, best_clique = size, clique
         if not cand:
             return
         verts = _bits(cand)
@@ -269,12 +270,10 @@ def _clique_over(g: GcdGraph, cand: int, stop_at: int | None = None) -> int:
             rest &= ~(1 << v)
             if size + 1 + (rest & adj[v]).bit_count() <= best:
                 continue
-            bb(size + 1, adj[v] & rest)
-            if stop_at is not None and best >= stop_at:
-                return
+            bb(clique | 1 << v, size + 1, adj[v] & rest)
 
-    bb(0, cand)
-    return best
+    bb(0, 0, (1 << g.n) - 1)
+    return best_clique
 
 
 def max_clique(g: GcdGraph, bounds: SearchBounds = DEFAULT_BOUNDS) -> CliqueWitness:
@@ -284,30 +283,12 @@ def max_clique(g: GcdGraph, bounds: SearchBounds = DEFAULT_BOUNDS) -> CliqueWitn
         raise ExactSearchBoundError(
             f"max_clique bounded at n <= {bounds.clique_exact}, got {g.n}"
         )
-    everyone = (1 << g.n) - 1
-    omega = _clique_over(g, everyone)
-    chosen: list[int] = []
-    cand = everyone
-    while len(chosen) < omega:
-        needed = omega - len(chosen) - 1
-        for v in _bits(cand):
-            tail = g.adjacency[v] & cand & _above(v)
-            if _clique_over(g, tail, stop_at=needed) >= needed:
-                chosen.append(v)
-                cand = tail
-                break
-        else:
-            raise AssertionError("lexicographic clique extraction lost the optimum")
-    return CliqueWitness(vertices=frozenset(chosen), maximal=True, maximum=True)
+    vertices = frozenset(_bits(_first_max_clique(g)))
+    return CliqueWitness(vertices=vertices, maximal=True, maximum=True)
 
 
-def _joins_all(n: int, v: int, vertices: Iterable[int]) -> bool:
-    """Is {u, v} a gcd-pair of Z_n for every other u in vertices?"""
-    return all(is_gcd_pair(n, u, v) for u in vertices if u != v)
-
-
-def clique_construction(n: int) -> CliqueWitness:
-    """The closed-form clique for n, adjacency-validated.
+def clique_construction(g: GcdGraph) -> CliqueWitness:
+    """The closed-form clique for n = g.n, validated on G_n's adjacency masks.
 
     - n = 2: {0, 1}.
     - prime powers p^k: {1} + primes below n other than p + {p, ..., p^(k-1)};
@@ -321,31 +302,31 @@ def clique_construction(n: int) -> CliqueWitness:
     The maximal flag reports an explicit single-vertex extension test; maximum
     is never claimed (use max_clique for that).
     """
+    n, adj = g.n, g.adjacency
     if n < 2:
         raise ValueError(f"clique_construction requires n >= 2, got {n}")
+
+    def joins(v: int) -> bool:  # v is in the clique or adjacent to all of it
+        return (adj[v] | 1 << v) & clique == clique
+
     if n == 2:
-        vertices = {0, 1}
+        clique = 0b11
     else:
         pp = prime_power_decompose(n)
-        primes = primes_below(n)
-        if pp is not None:
-            others = [r for r in primes if r != pp.p]
-            vertices = {1, *others, *(pp.p**j for j in range(1, pp.k))}
+        factors = prime_factors(n)
+        clique = sum(1 << v for v in {1, *primes_below(n)})
+        if pp is not None:  # p itself is among the primes when k >= 2
+            clique |= sum(1 << (pp.p**j) for j in range(2, pp.k))
+        elif len(factors) == 2 and factors[0] * factors[1] == n:
+            clique |= 1 << (factors[0] ** 2)
         else:
-            prime_factors = [p for p in primes if n % p == 0]
-            if len(prime_factors) == 2 and prime_factors[0] * prime_factors[1] == n:
-                p = prime_factors[0]
-                vertices = {1, *primes, p * p}
-            else:
-                vertices = {1, *primes}
-                for v in range(n):  # greedy lexicographic extension to maximality
-                    if v not in vertices and _joins_all(n, v, vertices):
-                        vertices.add(v)
-    ordered = sorted(vertices)
-    if not all(_joins_all(n, v, ordered[:i]) for i, v in enumerate(ordered)):
-        raise AssertionError(f"construction for n={n} is not pairwise adjacent: {ordered}")
-    maximal = not any(_joins_all(n, v, vertices) for v in range(n) if v not in vertices)
-    return CliqueWitness(vertices=frozenset(vertices), maximal=maximal, maximum=False)
+            for v in range(n):  # greedy lexicographic extension to maximality
+                if joins(v):
+                    clique |= 1 << v
+    if not all(joins(v) for v in _bits(clique)):
+        raise AssertionError(f"construction for n={n} is not pairwise adjacent: {_bits(clique)}")
+    maximal = not any(joins(v) for v in _bits(((1 << n) - 1) & ~clique))
+    return CliqueWitness(vertices=frozenset(_bits(clique)), maximal=maximal, maximum=False)
 
 
 def greedy_coloring(g: GcdGraph, order: Iterable[int] | None = None) -> ColoringWitness:
@@ -376,7 +357,7 @@ def chromatic_number(g: GcdGraph, bounds: SearchBounds = DEFAULT_BOUNDS) -> Colo
     if g.n == 0:
         return ColoringWitness(colors={}, color_count=0, exact=True)
     adj = g.adjacency
-    lower = _clique_over(g, (1 << g.n) - 1)
+    lower = _first_max_clique(g).bit_count()
     greedy = greedy_coloring(g)
     if greedy.color_count <= lower:
         return ColoringWitness(colors=_canonical_colors(greedy.colors, g.n),
@@ -454,7 +435,7 @@ def analyze(g: GcdGraph, bounds: SearchBounds = DEFAULT_BOUNDS) -> tuple[dict, l
         notes.append(
             f"clique_number: exact search skipped (n > {bounds.clique_exact}); "
             f"construction gives a maximal clique of order "
-            f"{len(clique_construction(g.n).vertices)}"
+            f"{len(clique_construction(g).vertices)}"
         )
     chromatic: int | None = None
     if g.n <= bounds.chromatic_exact:

@@ -222,14 +222,11 @@ def prime_power_decompose(n: int) -> PrimePower | None:
     """(p, k) with p**k == n when n >= 2 is a prime power, else None."""
     if n < 2:
         raise ValueError(f"prime_power_decompose requires n >= 2, got {n}")
-    rest = n
-    f = 2
-    while f * f <= rest:
-        if rest % f == 0:
-            k = 0
-            while rest % f == 0:
-                rest //= f
-                k += 1
-            return PrimePower(f, k) if rest == 1 else None
-        f += 1
-    return PrimePower(rest, 1)  # n itself is prime
+    primes = prime_factors(n)
+    if len(primes) != 1:
+        return None
+    p, k, power = primes[0], 1, primes[0]
+    while power < n:
+        power *= p
+        k += 1
+    return PrimePower(p, k)

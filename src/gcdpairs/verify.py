@@ -534,7 +534,7 @@ def _claim_clique_two_prime(limit: int, bounds: SearchBounds) -> Outcome:
             _is_ring_clique(n, claimed_set + [v]) for v in range(n) if v not in claimed_set
         )
         observed = _observed_omega(n, bounds)
-        constructed = len(clique_construction(n).vertices)
+        constructed = len(clique_construction(_graph(n)).vertices)
         if valid and maximal and len(claimed_set) == claimed and observed >= claimed:
             rows.append(f"n={n}: maximal order {claimed} confirmed")
         else:
@@ -568,7 +568,7 @@ def _claim_clique_prime_power(limit: int, bounds: SearchBounds) -> Outcome:
     for checked, pp in enumerate(pps, 1):
         n = pp.value
         expected = _prime_power_clique_order(pp)
-        witness = clique_construction(n)
+        witness = clique_construction(_graph(n))
         if len(witness.vertices) != expected or not witness.maximal:
             detail = (
                 f"construction order {len(witness.vertices)} (maximal={witness.maximal}) "

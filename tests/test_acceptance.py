@@ -241,13 +241,13 @@ def test_criterion_8_discrepancy_ledger(capsys):
         assert report.entry("errata-zero-divisors-mod-8").status is Status.NOTED
         assert report.entry("errata-units-mod-9").status is Status.NOTED
         # property-based substitute: adjacency-validated construction + exact oracle
-        witness = clique_construction(22)
+        g22 = build(22)
+        witness = clique_construction(g22)
         assert witness.maximal
         members = sorted(witness.vertices)
         for i, a in enumerate(members):
             for b in members[i + 1 :]:
                 assert 22 % gcd(a, b) == 0
-        g22 = build(22)
         assert (
             len(oracle.exhaustive_max_clique(g22).vertices)
             == len(max_clique(g22).vertices)

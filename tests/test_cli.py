@@ -390,6 +390,26 @@ def test_count_formula_bound_exits_2_before_any_work(monkeypatch, capsys):
     assert f"count formula bound (fixed): n <= {cli.FORMULA_MAX_N}" in cli._EPILOG
 
 
+def test_count_enumeration_bound_exits_2_before_any_work(monkeypatch, capsys):
+    from gcdpairs import cli
+
+    def refuse(*args):
+        raise AssertionError("no enumeration above the bound")
+
+    monkeypatch.setattr(cli, "count_pairs", refuse)
+    above = str(cli.ENUMERATE_MAX_N + 1)
+    message = f"gcdpairs count: enumeration takes n <= {cli.ENUMERATE_MAX_N}, got {above}\n"
+    for argv in ((above, "--method", "enumerate"), (above, "--json"), (above,)):
+        assert run(capsys, "count", *argv) == (2, "", message), argv
+    message = message.replace(above, str(cli.FORMULA_MAX_N))
+    assert run(capsys, "count", str(cli.FORMULA_MAX_N)) == (2, "", message)
+    # at the bound the enumeration runs: here a stub in its place
+    monkeypatch.setattr(cli, "count_pairs", lambda n, within: (7, 3))
+    code, out, _ = run(capsys, "count", str(cli.ENUMERATE_MAX_N), "--method", "enumerate")
+    assert code == 0 and out.splitlines() == ["pairs total: 7", "pairs among zero divisors: 3"]
+    assert f"count enumeration bound (fixed): n <= {cli.ENUMERATE_MAX_N}" in cli._EPILOG
+
+
 def test_count_formula_at_ten_million_in_flat_memory(capsys):
     # two int64 totient tables of 10^7 entries peaked at 350 MB
     code, out, _ = run(capsys, "count", "10000000", "--method", "formula")
@@ -444,6 +464,13 @@ GRAPH_DIGESTS = {
     ("30", "--json"): "8962d58cff2ded41605b441e3f539b9dde765a21043a72cbdfe561220347c786",
     ("30", "--dot", "-"): "08f843b4d60a388bece31deaed529a323889d6c6d433dc241aead0de1e072b25",
     ("30", "--analyze", "--json"): "995130a661beb9624f336e8010c2671a79c1760a6ceb7b0336c3359d14cb805a",
+    # past the clique bound, recorded when clique_construction(n) re-derived
+    # adjacency pair by pair with is_gcd_pair
+    ("100", "--analyze", "--json"): "a92040a8eca6f6cdbadcfb2d9925acf55ddd9e8801557ee09f547744dfed92f9",
+    ("121", "--analyze", "--json"): "571866c0e2f1197dcd626749232134d8d91161d7418a8282e0c86318401cf5fb",
+    ("210", "--analyze", "--json"): "77adbb26ce4cbb99175bbf8e3ae4ab856f3f1fcb0843518b0ba7ef8c11ba1282",
+    ("221", "--analyze", "--json"): "6df4c1865eb8784394642d56389f123ae2fcab468d29fd1b0d424ca4438850ba",
+    ("1000", "--analyze", "--json"): "a2e1d46f71dcc4054a41d005aab4114dd305af0abb3c5abbf56b5b4a24176795",
 }
 
 

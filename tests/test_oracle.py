@@ -123,6 +123,7 @@ def test_clique_oracle_equals_the_first_largest_subset(g):
         c for size in range(g.n, -1, -1) for c in combinations(range(g.n), size) if _is_clique(g, c)
     )
     assert oracle.exhaustive_max_clique(g).vertices == frozenset(first_largest)
+    assert max_clique(g).vertices == frozenset(first_largest)
 
 
 def _longest_cycle(g):
