@@ -16,7 +16,7 @@ import numpy as np
 
 from . import oracle
 from .graph import SearchBounds, analyze, build
-from .numtheory import divisors, is_prime, prime_power_decompose
+from .numtheory import divisors, prime_power_decompose
 from .pairs import (
     CountResult,
     classify_elements,
@@ -25,6 +25,7 @@ from .pairs import (
     count_prime_power_formula,
     count_zero_divisor_closed,
     is_gcd_pair,
+    pair_total,
     residue_mask,
     row_masks,
 )
@@ -38,6 +39,9 @@ FORMULA_MAX_N = 10**9
 # to n cells, so time grows as n^2: 200000 takes about 7 s and 57 MB, and the
 # prime 199999 about 9 s and 64 MB, on a 2-vCPU VM.
 ENUMERATE_MAX_N = 200_000
+# The largest n that graph --analyze takes. build holds n masks of n bits, so
+# memory grows as n^2: 19992 takes about 2.1 s and 90 MB on a 2-vCPU VM.
+ANALYZE_MAX_N = 20_000
 
 _EPILOG = f"""\
 exact-search bounds (override all with GCDPAIRS_MAX_EXACT=<n>, n >= 1):
@@ -46,6 +50,7 @@ oracle bounds (fixed): exhaustive clique {oracle.MAX_CLIQUE_N}, chromatic {oracl
 cycles {oracle.MAX_CYCLE_N}, domination {oracle.MAX_DOMINATION_N}
 count formula bound (fixed): n <= {FORMULA_MAX_N} for --method formula and both
 count enumeration bound (fixed): n <= {ENUMERATE_MAX_N} for --method enumerate and both
+graph bounds (fixed): n <= {FORMULA_MAX_N}, and n <= {ANALYZE_MAX_N} with --analyze
 exit codes: 0 ok / 1 not a gcd-pair / 2 usage / 3 verification failure
 """
 
@@ -175,17 +180,18 @@ def _write_json(out, n: int, fields: dict, key: str, rows, rest: dict | None = N
 def _pair_rows(n: int, within: np.ndarray | None):
     """(a, the b >= a with {a, b} a gcd-pair of Z_n) for each a < n; given
     the length-n bool array `within`, only the pairs with both ends flagged."""
-    for a, mask in row_masks(n):
+    for a, row in row_masks(n):
+        row = row[a:]
         if within is not None:
-            mask = mask & within[a:] & within[a]
-        yield a, np.flatnonzero(mask) + a
+            row = row & within[a:] & within[a]
+        yield a, np.flatnonzero(row) + a
 
 
 def _edge_rows(n: int):
     """(a, the b > a with {a, b} an edge of G_n) for each a < n: each
-    row_masks row without its {a, a} cell."""
-    for a, mask in row_masks(n):
-        yield a, np.flatnonzero(mask[1:]) + a + 1
+    row_masks row above its {a, a} cell."""
+    for a, row in row_masks(n):
+        yield a, np.flatnonzero(row[a + 1 :]) + a + 1
 
 
 def cmd_list(args: argparse.Namespace) -> int:
@@ -224,16 +230,12 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def _formula_counts(n: int) -> tuple[CountResult | None, CountResult | None]:
     """Best closed forms for the total and zero-divisor pair counts, or None
-    where no formula applies."""
-    total: CountResult | None = None
-    if n >= 2:
-        pp = prime_power_decompose(n)
-        if pp is not None:
-            total = count_prime_power_formula(pp)
-        elif n >= 4 and not is_prime(n):
-            total = composite_lower_bound(n)
-    zero_div = count_zero_divisor_closed(n) if n >= 2 else None
-    return total, zero_div
+    where no formula applies. An n >= 2 that is no prime power is composite."""
+    if n < 2:
+        return None, None
+    pp = prime_power_decompose(n)
+    total = composite_lower_bound(n) if pp is None else count_prime_power_formula(pp)
+    return total, count_zero_divisor_closed(n)
 
 
 _KIND_SYMBOL = {"exact": "=", "strict-lower-bound": ">", "lower-bound": ">="}
@@ -262,24 +264,18 @@ def cmd_count(args: argparse.Namespace) -> int:
         enumerated = {"total": total, "zero_divisors": among_zero}
     if args.method in ("formula", "both"):
         formulas = _formula_counts(n)
-    mismatch = False
+    mismatch = None  # when both ran: does the total or an exact formula disagree?
     if enumerated is not None and formulas is not None:
-        for result, actual in zip(formulas, (enumerated["total"], enumerated["zero_divisors"])):
-            if result is not None and result.kind.value == "exact" and result.value != actual:
-                mismatch = True
+        actual = (enumerated["total"], enumerated["zero_divisors"])
+        exact = [(r.value, x) for r, x in zip(formulas, actual) if r and r.kind.value == "exact"]
+        mismatch = actual[0] != pair_total(n) or any(value != x for value, x in exact)
     if args.json:
-        payload: dict = {"schema": 1, "n": n, "enumerate": enumerated}
-        payload["formula"] = (
-            None
-            if formulas is None
-            else {
-                "total": formulas[0].to_json_dict() if formulas[0] else None,
-                "zero_divisors": formulas[1].to_json_dict() if formulas[1] else None,
-            }
-        )
-        payload["exact_match"] = (
-            None if (enumerated is None or formulas is None) else not mismatch
-        )
+        formula = None
+        if formulas is not None:
+            results = zip(("total", "zero_divisors"), formulas)
+            formula = {key: r.to_json_dict() if r else None for key, r in results}
+        payload = {"schema": 1, "n": n, "enumerate": enumerated, "formula": formula,
+                   "exact_match": None if mismatch is None else not mismatch}
         print(json.dumps(payload, indent=2))
     else:
         if enumerated is not None:
@@ -288,8 +284,8 @@ def cmd_count(args: argparse.Namespace) -> int:
         if formulas is not None:
             print(f"formula total: {_format_count(formulas[0])}")
             print(f"formula zero divisors: {_format_count(formulas[1])}")
-        if mismatch:
-            print("error: exact formula disagrees with enumeration", file=sys.stderr)
+    if mismatch:
+        print("error: exact formula disagrees with enumeration", file=sys.stderr)
     return 3 if mismatch else 0
 
 
@@ -301,6 +297,12 @@ def _write_dot(out, n: int, loops: list[int]) -> None:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
+    # the summary line's edge count is pair_total(n); ANALYZE_MAX_N < FORMULA_MAX_N
+    bound = ANALYZE_MAX_N if args.analyze else FORMULA_MAX_N
+    if args.n > bound:
+        what = "--analyze" if args.analyze else "the edge count"
+        print(f"gcdpairs graph: {what} takes n <= {bound}, got {args.n}", file=sys.stderr)
+        return 2
     if args.dot == "-" and (args.json or args.analyze):
         flag = "--json" if args.json else "--analyze"
         print(f"gcdpairs graph: --dot - and {flag} both write stdout", file=sys.stderr)
@@ -329,7 +331,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
         rest = {"loops": loops, "invariants": invariants, "notes": notes}
         _write_json(sys.stdout, args.n, {"schema": 1, "n": args.n}, "edges", _edge_rows(args.n), rest)
         return 0
-    edges = count_pairs(args.n, np.zeros(args.n, dtype=bool))[0] - len(loops)
+    edges = pair_total(args.n) - len(loops)
     print(f"G_{args.n}: {args.n} vertices, {edges} edges, {len(loops)} loops")
     if invariants is not None:
         for key in (

@@ -112,18 +112,14 @@ class HamiltonicityResult:
 
 def build(n: int) -> GcdGraph:
     """Graph of Z_n: edge {a, b} for each pair with a != b, loop where a pairs
-    with itself."""
-    if n < 1:
-        raise ValueError(f"modulus must be >= 1, got {n}")
-    pairs = np.zeros((n, n), dtype=bool)  # cell (a, b) or (b, a) marks the pair {a, b}
-    for a, mask in row_masks(n):
-        pairs[a, a:] = mask
-    pairs |= pairs.T
-    loops = frozenset(np.flatnonzero(pairs.diagonal()).tolist())
-    np.fill_diagonal(pairs, False)  # the rest packs into the row masks
-    packed = np.packbits(pairs, axis=1, bitorder="little")
-    adjacency = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
-    return GcdGraph(n=n, adjacency=adjacency, loops=loops)
+    with itself; row_masks rejects n < 1."""
+    adjacency, loops = [], []
+    for a, row in row_masks(n):
+        if row[a]:
+            loops.append(a)
+            row[a] = False  # the rest of the row packs into its mask
+        adjacency.append(int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little"))
+    return GcdGraph(n=n, adjacency=tuple(adjacency), loops=frozenset(loops))
 
 
 def _bits(mask: int) -> list[int]:

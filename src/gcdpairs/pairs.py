@@ -17,6 +17,7 @@ import numpy as np
 
 from .numtheory import (
     PrimePower,
+    divisors,
     is_prime,
     mertens,
     nontrivial_divisors,
@@ -84,20 +85,21 @@ def is_gcd_pair(n: int, x: int, y: int) -> bool:
 
 
 def row_masks(n: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(a, mask) for every a < n: mask[i] is true exactly when {a, a + i} is a
-    gcd-pair; the a = 0 row marks the divisors of n.
+    """(a, row) for every a < n: the length-n row[b] is true exactly when
+    {a, b} is a gcd-pair; the a = 0 row marks the divisors of n.
 
     gcd(a, b) fails to divide n exactly when some prime p has p^(v_p(n) + 1)
     dividing both a and b, and the primes with v_p(a) > v_p(n) are those of
-    a / gcd(a, n). Such an m = p^(v_p(n) + 1) divides a, so it divides a + i
-    exactly when m | i: row a clears every m-th cell from cell 0, and a row
+    a / gcd(a, n). Such an m = p^(v_p(n) + 1) divides a, so it divides b
+    exactly when m | b: row a clears every m-th cell from cell 0, and a row
     with a | n stays all true."""
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
     yield 0, np.concatenate(([False], n % np.arange(1, n) == 0))
     spf = smallest_prime_factors(n)
+    ones = np.ones(n, dtype=bool)  # a copy per row costs less than np.ones
     for a in range(1, n):
-        mask = np.ones(n - a, dtype=bool)
+        row = ones.copy()
         rest = a // gcd(a, n)
         while rest > 1:
             p = spf[rest]
@@ -106,8 +108,8 @@ def row_masks(n: int) -> Iterator[tuple[int, np.ndarray]]:
             m = p
             while n % m == 0:
                 m *= p
-            mask[::m] = False
-        yield a, mask
+            row[::m] = False
+        yield a, row
 
 
 def residue_mask(n: int, residues: Iterable[int]) -> np.ndarray:
@@ -119,18 +121,29 @@ def count_pairs(n: int, within: np.ndarray) -> tuple[int, int]:
     """(number of gcd-pairs of Z_n, number of those with both ends flagged in
     the length-n bool array `within`), counted on row_masks; no pair is built."""
     total = inside = 0
-    for a, mask in row_masks(n):
-        total += int(np.count_nonzero(mask))
+    for a, row in row_masks(n):
+        total += int(np.count_nonzero(row[a:]))
         if within[a]:
-            inside += int(np.count_nonzero(mask & within[a:]))
+            inside += int(np.count_nonzero(row[a:] & within[a:]))
     return total, inside
 
 
 def iter_pairs(n: int) -> Iterator[tuple[int, int]]:
     """All gcd-pairs of Z_n in lexicographic order, streamed off row_masks."""
-    for a, mask in row_masks(n):
-        for b in (np.flatnonzero(mask) + a).tolist():
+    for a, row in row_masks(n):
+        for b in (np.flatnonzero(row[a:]) + a).tolist():
             yield (a, b)
+
+
+def pair_total(n: int) -> int:
+    """|pairs(Z_n)| = sum over the divisors d >= 2 of n of 1 + Phi(d - 1).
+
+    A pair {a, b} with g = gcd(a, b) dividing n is {g*a', g*b'} with a' <= b'
+    coprime residues of Z_d, d = n / g. For d >= 2 these are {0, 1} and the
+    Phi(d - 1) pairs 1 <= a' <= b' < d; d = 1 leaves only {0, 0}, no pair."""
+    larger = divisors(n)[1:]  # raises ValueError for n < 1
+    phi_sum = summatory_totient(n - 1)
+    return sum(1 + phi_sum(d - 1) for d in larger)
 
 
 def classify_elements(n: int) -> ElementClasses:
@@ -147,9 +160,7 @@ def zero_divisor_partition(n: int) -> ZeroDivisorPartition:
     if n < 2:
         raise ValueError(f"zero_divisor_partition requires n >= 2, got {n}")
     cells: dict[int, frozenset[int]] = {}
-    for d in nontrivial_divisors(n):
-        if d == n:
-            continue  # r < n/d = 1 is impossible; the cell is always empty
+    for d in nontrivial_divisors(n)[:-1]:  # the d = n cell, r < n/d = 1, is empty
         cell = frozenset(r * d for r in range(1, n // d) if gcd(r * d, n) == d)
         if cell:
             cells[d] = cell
@@ -157,10 +168,9 @@ def zero_divisor_partition(n: int) -> ZeroDivisorPartition:
 
 
 def count_prime_power_formula(pp: PrimePower) -> CountResult:
-    """|full pair set of Z_{p^k}| = k + sum_{i=1..k} sum_{j=1..p^i - 1} phi(j)."""
-    phi_sum = summatory_totient(pp.value - 1)
-    total = pp.k + sum(phi_sum(pp.p**i - 1) for i in range(1, pp.k + 1))
-    return CountResult(total, CountKind.EXACT, "prime-power-formula")
+    """|full pair set of Z_{p^k}| = k + sum_{i=1..k} sum_{j=1..p^i - 1} phi(j):
+    pair_total over the divisors p^i of p^k."""
+    return CountResult(pair_total(pp.value), CountKind.EXACT, "prime-power-formula")
 
 
 def composite_lower_bound(n: int) -> CountResult:
@@ -177,13 +187,7 @@ def semiprime_zero_divisor_bound(p: int, q: int) -> CountResult:
     |pairs(Z_p)| + |pairs(Z_q)| + p + q - 5."""
     if p == q or not (is_prime(p) and is_prime(q)):
         raise ValueError(f"need distinct primes, got {p} and {q}")
-    value = (
-        count_prime_power_formula(PrimePower(p, 1)).value
-        + count_prime_power_formula(PrimePower(q, 1)).value
-        + p
-        + q
-        - 5
-    )
+    value = pair_total(p) + pair_total(q) + p + q - 5
     return CountResult(value, CountKind.LOWER_BOUND, "two-prime-lower-bound")
 
 
@@ -248,19 +252,16 @@ def count_zero_divisor_closed(n: int) -> CountResult:
     if pp is not None:
         if pp.k == 1:
             return CountResult(0, CountKind.EXACT, "prime-has-no-zero-divisors")
-        inner = count_prime_power_formula(PrimePower(pp.p, pp.k - 1)).value
-        return CountResult(inner - pp.k + 1, CountKind.EXACT, "prime-power-reduction")
+        value = pair_total(n // pp.p) - pp.k + 1
+        return CountResult(value, CountKind.EXACT, "prime-power-reduction")
     if n % 2 == 0 and is_prime(n // 2) and n // 2 != 2:
         p = n // 2
-        base = count_prime_power_formula(PrimePower(p, 1)).value
-        return CountResult(base + p - 1, CountKind.EXACT, "double-prime-count")
+        return CountResult(pair_total(p) + p - 1, CountKind.EXACT, "double-prime-count")
     if n % 3 == 0 and is_prime(n // 3) and n // 3 != 3:
         p = n // 3
-        base = count_prime_power_formula(PrimePower(p, 1)).value
         # ceil((p - 1) / 2) == p // 2 for integer p
-        return CountResult(base + p + p // 2, CountKind.EXACT, "triple-prime-count")
-    divs = nontrivial_divisors(n)
-    proper = [d for d in divs if d != n]
+        return CountResult(pair_total(p) + p + p // 2, CountKind.EXACT, "triple-prime-count")
+    proper = nontrivial_divisors(n)[:-1]
     if len(proper) == 2 and is_prime(proper[0]) and is_prime(proper[1]):
         return semiprime_zero_divisor_bound(proper[0], proper[1])
     return divisor_cell_sum_bound(n)

@@ -410,6 +410,64 @@ def test_count_enumeration_bound_exits_2_before_any_work(monkeypatch, capsys):
     assert f"count enumeration bound (fixed): n <= {cli.ENUMERATE_MAX_N}" in cli._EPILOG
 
 
+def test_count_both_checks_every_total_against_pair_total(monkeypatch, capsys):
+    from gcdpairs import cli, pairs
+
+    # 12 has no exact total formula, so only the closed-form total can disagree
+    for argv in (("12",), ("12", "--json"), ("9", "--method", "both")):
+        expected = run(capsys, "count", *argv)
+        assert expected[0] == 0 and expected[2] == "", argv
+        monkeypatch.setattr(cli, "pair_total", lambda n: pairs.pair_total(n) + 1)
+        code, out, err = run(capsys, "count", *argv)
+        monkeypatch.undo()
+        assert code == 3 and err == "error: exact formula disagrees with enumeration\n", argv
+        if "--json" in argv:
+            assert out == expected[1].replace('"exact_match": true', '"exact_match": false')
+        else:
+            assert out == expected[1], argv
+
+
+def test_graph_bounds_exit_2_before_any_work(monkeypatch, capsys):
+    from gcdpairs import cli
+
+    def refuse(*args):
+        raise AssertionError("no work above the bound")
+
+    for name in ("build", "pair_total", "row_masks"):
+        monkeypatch.setattr(cli, name, refuse)
+    above = str(cli.FORMULA_MAX_N + 1)
+    message = f"gcdpairs graph: the edge count takes n <= {cli.FORMULA_MAX_N}, got {above}\n"
+    for argv in ((), ("--json",), ("--dot", "-"), ("--dot", os.devnull)):
+        assert run(capsys, "graph", above, *argv) == (2, "", message), argv
+    for n in (cli.ANALYZE_MAX_N + 1, cli.FORMULA_MAX_N + 1):
+        message = f"gcdpairs graph: --analyze takes n <= {cli.ANALYZE_MAX_N}, got {n}\n"
+        for argv in (("--analyze",), ("--analyze", "--json"), ("--analyze", "--dot", "-")):
+            assert run(capsys, "graph", str(n), *argv) == (2, "", message), argv
+    # at the bounds the work runs: here stubs in its place
+    monkeypatch.setattr(cli, "pair_total", lambda n: 1000)
+    code, out, _ = run(capsys, "graph", str(cli.FORMULA_MAX_N))
+    assert (code, out) == (0, "G_1000000000: 1000000000 vertices, 901 edges, 99 loops\n")
+    monkeypatch.setattr(cli, "build", lambda n: build(8))
+    code, out, _ = run(capsys, "graph", str(cli.ANALYZE_MAX_N), "--analyze")
+    assert code == 0 and out.splitlines()[-1] == "planar: False"
+    bounds = f"n <= {cli.FORMULA_MAX_N}, and n <= {cli.ANALYZE_MAX_N} with --analyze"
+    assert f"graph bounds (fixed): {bounds}" in cli._EPILOG
+
+
+def test_graph_counts_its_edges_in_closed_form(monkeypatch, capsys):
+    # count_pairs walked n rows of up to n cells: graph 200000 took about 5 s
+    from gcdpairs import cli, graph, pairs
+
+    def refuse(*args):
+        raise AssertionError("enumerated the pairs")
+
+    for owner, name in ((cli, "count_pairs"), (cli, "row_masks"), (graph, "row_masks"),
+                        (pairs, "count_pairs"), (pairs, "row_masks")):
+        monkeypatch.setattr(owner, name, refuse)
+    code, out, _ = run(capsys, "graph", "200000")
+    assert (code, out) == (0, "G_200000: 200000 vertices, 16885746575 edges, 41 loops\n")
+
+
 def test_count_formula_at_ten_million_in_flat_memory(capsys):
     # two int64 totient tables of 10^7 entries peaked at 350 MB
     code, out, _ = run(capsys, "count", "10000000", "--method", "formula")
@@ -708,6 +766,16 @@ def test_graph_json_streams_in_bounded_memory():
     # the whole edge list as one payload peaked at 670 MB
     out = subprocess.run(
         [sys.executable, "-S", "-c", _PEAK_RSS, "graph", "2000", "--json"],
+        env=_subprocess_env(), capture_output=True, check=True, timeout=60,
+    ).stdout
+    code, peak_kib = map(int, out.split())
+    assert code == 0 and peak_kib < 100 * 1024, peak_kib
+
+
+def test_graph_analyze_builds_in_bounded_memory():
+    # an n x n bool matrix and its transpose peaked at 304 MB for n = 12000
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", _PEAK_RSS, "graph", "12000", "--analyze"],
         env=_subprocess_env(), capture_output=True, check=True, timeout=60,
     ).stdout
     code, peak_kib = map(int, out.split())

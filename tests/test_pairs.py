@@ -357,10 +357,11 @@ def test_prime_power_formula_sieves_once(monkeypatch):
 @pytest.mark.parametrize("n", [243, 360, 1001, 1024, 2310])
 def test_row_masks_match_the_oracle_euclid_loop(n):
     # deep prime powers (3^5, 2^10), and rows whose a / gcd(a, n) carries
-    # primes that do not divide n, or divide it to a lower power than a
-    for a, mask in pairs.row_masks(n):
-        expected = [(g := oracle._gcd(a, b)) > 0 and n % g == 0 for b in range(a, n)]
-        assert mask.tolist() == expected, (n, a)
+    # primes that do not divide n, or divide it to a lower power than a;
+    # each row covers all of Z_n, the cells b < a included
+    for a, row in pairs.row_masks(n):
+        expected = [(g := oracle._gcd(a, b)) > 0 and n % g == 0 for b in range(n)]
+        assert row.tolist() == expected, (n, a)
 
 
 def test_prime_power_formula_returns_a_python_int():
@@ -368,10 +369,16 @@ def test_prime_power_formula_returns_a_python_int():
         assert type(count_prime_power_formula(pp).value) is int, pp
 
 
-def test_row_masks_cover_rows_a_to_n():
-    for n in (1, 2, 12, 35):
-        masks = list(pairs.row_masks(n))
-        assert [a for a, _ in masks] == list(range(n))
-        for a, mask in masks:
-            assert mask.dtype == np.bool_ and len(mask) == n - a
-            assert mask.tolist() == [is_gcd_pair(n, a, b) for b in range(a, n)], (n, a)
+def test_row_masks_are_full_rows():
+    for n in (1, 2, 12, 35, 64):
+        rows = list(pairs.row_masks(n))
+        assert [a for a, _ in rows] == list(range(n))
+        for a, row in rows:
+            assert row.dtype == np.bool_ and len(row) == n
+            assert row.tolist() == [is_gcd_pair(n, a, b) for b in range(n)], (n, a)
+
+
+def test_pair_total_matches_the_gcd_table_to_500():
+    table = oracle.GcdTable(501)
+    for n in range(1, 501):
+        assert pairs.pair_total(n) == table.count(n), n
