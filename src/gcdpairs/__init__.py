@@ -22,7 +22,6 @@ from .numtheory import PrimePower, euler_phi, phi_partial_sum, primes_below
 from .pairs import (
     CountKind,
     CountResult,
-    PairSet,
     ZeroDivisorPartition,
     classify_elements,
     count_prime_power_formula,
@@ -33,33 +32,3 @@ from .pairs import (
 from .verify import ClaimResult, Status, VerificationReport, run_verification
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CliqueWitness",
-    "ColoringWitness",
-    "ExactSearchBoundError",
-    "GcdGraph",
-    "HamiltonicityResult",
-    "PathWitness",
-    "SearchBounds",
-    "StarWitness",
-    "build",
-    "PrimePower",
-    "euler_phi",
-    "phi_partial_sum",
-    "primes_below",
-    "CountKind",
-    "CountResult",
-    "PairSet",
-    "ZeroDivisorPartition",
-    "classify_elements",
-    "count_prime_power_formula",
-    "count_zero_divisor_closed",
-    "is_gcd_pair",
-    "zero_divisor_partition",
-    "ClaimResult",
-    "Status",
-    "VerificationReport",
-    "run_verification",
-    "__version__",
-]

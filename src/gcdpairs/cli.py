@@ -25,20 +25,24 @@ from .pairs import (
     count_prime_power_formula,
     count_zero_divisor_closed,
     is_gcd_pair,
+    pair_rows,
     pair_total,
     residue_mask,
-    row_masks,
 )
 from .verify import run_verification
 
 # The largest n that count's closed forms take. The slowest n below it are
-# highly composite, not powers of ten: 735134400 and 980179200 take about 6 s
-# and 100 MB on a 2-vCPU VM, against 2.4 s for 10^9 itself.
+# highly composite, not powers of ten: 735134400 and 980179200 take about 4 s
+# and 57-63 MB on a 2-vCPU VM, against 1.9 s and 63 MB for 10^9 itself.
 FORMULA_MAX_N = 10**9
 # The largest n that count enumerates. count_pairs walks n row_masks rows of up
 # to n cells, so time grows as n^2: 200000 takes about 7 s and 57 MB, and the
 # prime 199999 about 9 s and 64 MB, on a 2-vCPU VM.
 ENUMERATE_MAX_N = 200_000
+# The largest n that list, graph --json and graph --dot take. Each row is n cells,
+# formatted at once: at n = 10^7 list --subset 0,1 takes 0.24 s and 53 MB, and a
+# full row peaks near 0.9 GB as list text and 2.2 GB as JSON on a 2-vCPU VM.
+ROW_WALK_MAX_N = 10_000_000
 # The largest n that graph --analyze takes. build holds n masks of n bits, so
 # memory grows as n^2: 19992 takes about 2.1 s and 90 MB on a 2-vCPU VM.
 ANALYZE_MAX_N = 20_000
@@ -51,6 +55,7 @@ cycles {oracle.MAX_CYCLE_N}, domination {oracle.MAX_DOMINATION_N}
 count formula bound (fixed): n <= {FORMULA_MAX_N} for --method formula and both
 count enumeration bound (fixed): n <= {ENUMERATE_MAX_N} for --method enumerate and both
 graph bounds (fixed): n <= {FORMULA_MAX_N}, and n <= {ANALYZE_MAX_N} with --analyze
+row walk bound (fixed): n <= {ROW_WALK_MAX_N} for list, graph --json and graph --dot
 exit codes: 0 ok / 1 not a gcd-pair / 2 usage / 3 verification failure
 """
 
@@ -129,24 +134,29 @@ def _parse_subset(n: int, text: str) -> tuple[str, frozenset[int] | None]:
     return "subset:" + ",".join(map(str, sorted(residues))), residues
 
 
-def _write_rows(out, n: int, rows, head: str, tail: str, sep: str = "") -> int:
+def _write_rows(out, bound: int, rows, head: str, tail: str, sep: str = "") -> int:
     """Write a record sep + head % a + the digits of b + tail to `out` for each
-    (a, bs) of `rows` and each b of the ascending int array bs (all b < n),
+    (a, bs) of `rows` and each b of the ascending int array bs (all b < bound),
     with no sep before the first record; return the number of records.
 
     A record is built in numpy, not per pair in Python: the b part is one
     fixed-width void item from a table per digit width, and each row's run of
     one width is a structured array (head, b) turned into bytes at once."""
     starts, tables = [], []  # tables[i] holds "b" + tail for the b >= starts[i] with i + 1 digits
-    ends = tail.encode()
+    ends = np.frombuffer(tail.encode(), np.uint8)
     lo, width = 0, 1
-    while lo < n:
-        hi = min(10**width, n)
+    while lo < bound:
+        hi = min(10**width, bound)
         starts.append(lo)
-        items = b"".join(b"%d%s" % (b, ends) for b in range(lo, hi))
-        tables.append(np.frombuffer(items, f"V{width + len(ends)}"))
+        items = np.empty((hi - lo, width + ends.size), np.uint8)
+        items[:, width:] = ends
+        b = np.arange(lo, hi, dtype=np.min_scalar_type(hi))
+        for k in reversed(range(width)):
+            items[:, k] = b % 10 + ord("0")
+            b //= 10
+        tables.append(items.view(f"V{items.shape[1]}").ravel())
         lo, width = hi, width + 1
-    bounds = starts + [n]
+    bounds = starts + [bound]
     count = 0
     for a, row in rows:
         if not row.size:
@@ -166,45 +176,40 @@ def _write_rows(out, n: int, rows, head: str, tail: str, sep: str = "") -> int:
     return count
 
 
-def _write_json(out, n: int, fields: dict, key: str, rows, rest: dict | None = None) -> None:
+def _write_json(out, bound: int, fields: dict, key: str, rows, rest: dict | None = None) -> None:
     """The bytes of json.dumps(indent=2) of fields, then `key` holding the
     pairs [a, b] of `rows` as _write_rows walks them, then rest, streamed:
     the header without its closing "\n}", the pairs one by one, and rest
     without its opening "{"."""
     out.write(json.dumps(fields, indent=2)[:-2] + f',\n  "{key}": [')
-    count = _write_rows(out, n, rows, "\n    [\n      %d,\n      ", "\n    ]", sep=",")
+    count = _write_rows(out, bound, rows, "\n    [\n      %d,\n      ", "\n    ]", sep=",")
     out.write("\n  ]" if count else "]")
     out.write("\n}\n" if rest is None else "," + json.dumps(rest, indent=2)[1:] + "\n")
 
 
-def _pair_rows(n: int, within: np.ndarray | None):
-    """(a, the b >= a with {a, b} a gcd-pair of Z_n) for each a < n; given
-    the length-n bool array `within`, only the pairs with both ends flagged."""
-    for a, row in row_masks(n):
-        row = row[a:]
-        if within is not None:
-            row = row & within[a:] & within[a]
-        yield a, np.flatnonzero(row) + a
-
-
-def _edge_rows(n: int):
-    """(a, the b > a with {a, b} an edge of G_n) for each a < n: each
-    row_masks row above its {a, a} cell."""
-    for a, row in row_masks(n):
-        yield a, np.flatnonzero(row[a + 1 :]) + a + 1
+def _edges(n: int):
+    """The rows of G_n's edges: pair_rows without the {a, a} loops."""
+    return ((a, bs[bs > a]) for a, bs in pair_rows(n))
 
 
 def cmd_list(args: argparse.Namespace) -> int:
+    if args.n > ROW_WALK_MAX_N:
+        message = f"the row walk takes n <= {ROW_WALK_MAX_N}, got {args.n}"
+        print(f"gcdpairs list: {message}", file=sys.stderr)
+        return 2
     try:
         label, subset = _parse_subset(args.n, args.subset)
     except ValueError as exc:
         print(f"gcdpairs list: {exc}", file=sys.stderr)
         return 2
-    rows = _pair_rows(args.n, None if subset is None else residue_mask(args.n, subset))
+    if subset is None:
+        rows, bound = pair_rows(args.n), args.n
+    else:  # the digit tables need reach no further than the largest residue
+        rows, bound = pair_rows(args.n, residue_mask(args.n, subset)), max(subset, default=0) + 1
     if args.json:
-        _write_json(sys.stdout, args.n, {"schema": 1, "n": args.n, "label": label}, "pairs", rows)
+        _write_json(sys.stdout, bound, {"schema": 1, "n": args.n, "label": label}, "pairs", rows)
         return 0
-    count = _write_rows(sys.stdout, args.n, rows, "{%d,", "}\n")
+    count = _write_rows(sys.stdout, bound, rows, "{%d,", "}\n")
     print(f"The number of gcd-pairs is {count}")
     return 0
 
@@ -292,7 +297,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 def _write_dot(out, n: int, loops: list[int]) -> None:
     """Undirected DOT text: loops first, then edges in lexicographic order."""
     out.write(f"graph G{n} {{\n" + "".join(f"{a} -- {a};\n" for a in loops))
-    _write_rows(out, n, _edge_rows(n), "%d -- ", ";\n")
+    _write_rows(out, n, _edges(n), "%d -- ", ";\n")
     out.write("}\n")
 
 
@@ -302,6 +307,10 @@ def cmd_graph(args: argparse.Namespace) -> int:
     if args.n > bound:
         what = "--analyze" if args.analyze else "the edge count"
         print(f"gcdpairs graph: {what} takes n <= {bound}, got {args.n}", file=sys.stderr)
+        return 2
+    if (args.json or args.dot is not None) and args.n > ROW_WALK_MAX_N:
+        message = f"--json and --dot take n <= {ROW_WALK_MAX_N}, got {args.n}"
+        print(f"gcdpairs graph: {message}", file=sys.stderr)
         return 2
     if args.dot == "-" and (args.json or args.analyze):
         flag = "--json" if args.json else "--analyze"
@@ -329,7 +338,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
             return 2
     if args.json:
         rest = {"loops": loops, "invariants": invariants, "notes": notes}
-        _write_json(sys.stdout, args.n, {"schema": 1, "n": args.n}, "edges", _edge_rows(args.n), rest)
+        _write_json(sys.stdout, args.n, {"schema": 1, "n": args.n}, "edges", _edges(args.n), rest)
         return 0
     edges = pair_total(args.n) - len(loops)
     print(f"G_{args.n}: {args.n} vertices, {edges} edges, {len(loops)} loops")

@@ -12,6 +12,7 @@ no positive modulus, so the pair {0, 0} is never a gcd-pair.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -120,7 +121,8 @@ def _dirichlet_summatory(
     sieve. A call above the cut costs O(sqrt(x)) blocks, and the ones it
     recurses into sum to O(x^(2/3))."""
     cut = _sieve_cut(limit)
-    table = np.cumsum(sieve(cut)).tolist()
+    # 8 bytes an entry, read back as Python ints; a list would hold about 40
+    table = array("q", np.cumsum(sieve(cut), dtype=np.int64).tobytes())
     memo: dict[int, int] = {}
 
     def summatory(x: int) -> int:

@@ -10,11 +10,11 @@ skips only work that a stated theorem proves cannot change its answer.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import CliqueWitness, GcdGraph, PathWitness
-from .pairs import PairSet
 
 MAX_CLIQUE_N = 26
 MAX_CHROMATIC_N = 12
@@ -24,6 +24,16 @@ MAX_DOMINATION_N = 20
 
 class OracleBoundError(ValueError):
     """Raised when an exhaustive oracle is asked to exceed its input bound."""
+
+
+@dataclass(frozen=True)
+class PairSet:
+    """A deduplicated, lexicographically ordered collection of gcd-pairs."""
+
+    pairs: tuple[tuple[int, int], ...]
+
+    def __len__(self) -> int:
+        return len(self.pairs)
 
 
 def _gcd(a: int, b: int) -> int:
@@ -43,7 +53,7 @@ def naive_enumerate(n: int) -> PairSet:
             g = _gcd(a, b)
             if g > 0 and n % g == 0:
                 pairs.append((a, b))
-    return PairSet(n=n, pairs=tuple(pairs))
+    return PairSet(tuple(pairs))
 
 
 def naive_count(n: int) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from math import gcd, isqrt
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,20 +27,6 @@ from .numtheory import (
     smallest_prime_factors,
     summatory_totient,
 )
-
-
-@dataclass(frozen=True)
-class PairSet:
-    """A deduplicated, lexicographically ordered collection of gcd-pairs."""
-
-    n: int
-    pairs: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.pairs)
 
 
 class ElementClasses(NamedTuple):
@@ -84,21 +70,25 @@ def is_gcd_pair(n: int, x: int, y: int) -> bool:
     return g > 0 and n % g == 0
 
 
-def row_masks(n: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(a, row) for every a < n: the length-n row[b] is true exactly when
-    {a, b} is a gcd-pair; the a = 0 row marks the divisors of n.
+def row_masks(n: int, rows: Sequence[int] | None = None) -> Iterator[tuple[int, np.ndarray]]:
+    """(a, row) for each a of the ascending `rows` (every a < n by default):
+    the length-n row[b] is true exactly when {a, b} is a gcd-pair; the a = 0
+    row marks the divisors of n.
 
     gcd(a, b) fails to divide n exactly when some prime p has p^(v_p(n) + 1)
     dividing both a and b, and the primes with v_p(a) > v_p(n) are those of
     a / gcd(a, n). Such an m = p^(v_p(n) + 1) divides a, so it divides b
     exactly when m | b: row a clears every m-th cell from cell 0, and a row
-    with a | n stays all true."""
+    with a | n stays all true. The prime factor table reaches the last row."""
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
-    yield 0, np.concatenate(([False], n % np.arange(1, n) == 0))
-    spf = smallest_prime_factors(n)
+    rows = range(n) if rows is None else rows
+    spf = smallest_prime_factors(rows[-1] if rows else 0)
     ones = np.ones(n, dtype=bool)  # a copy per row costs less than np.ones
-    for a in range(1, n):
+    for a in rows:
+        if a == 0:
+            yield 0, residue_mask(n, divisors(n)[:-1])
+            continue
         row = ones.copy()
         rest = a // gcd(a, n)
         while rest > 1:
@@ -112,9 +102,25 @@ def row_masks(n: int) -> Iterator[tuple[int, np.ndarray]]:
         yield a, row
 
 
+def pair_rows(n: int, within: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
+    """(a, the ascending int array of the b >= a with {a, b} a gcd-pair of
+    Z_n) for each a < n; given the length-n bool array `within`, for each
+    flagged a only, with only the flagged b. Only the yielded rows are sieved."""
+    if within is None:
+        for a, row in row_masks(n):
+            yield a, np.flatnonzero(row[a:]) + a
+        return
+    flagged = np.flatnonzero(within)
+    for i, (a, row) in enumerate(row_masks(n, flagged.tolist())):
+        above = flagged[i:]  # the flagged b >= a
+        yield a, above[row[above]]
+
+
 def residue_mask(n: int, residues: Iterable[int]) -> np.ndarray:
     """The length-n bool array flagging each of `residues` (all in [0, n))."""
-    return np.isin(np.arange(n), list(residues))
+    mask = np.zeros(n, dtype=bool)
+    mask[list(residues)] = True
+    return mask
 
 
 def count_pairs(n: int, within: np.ndarray) -> tuple[int, int]:
@@ -129,9 +135,9 @@ def count_pairs(n: int, within: np.ndarray) -> tuple[int, int]:
 
 
 def iter_pairs(n: int) -> Iterator[tuple[int, int]]:
-    """All gcd-pairs of Z_n in lexicographic order, streamed off row_masks."""
-    for a, row in row_masks(n):
-        for b in (np.flatnonzero(row[a:]) + a).tolist():
+    """All gcd-pairs of Z_n in lexicographic order, streamed off pair_rows."""
+    for a, bs in pair_rows(n):
+        for b in bs.tolist():
             yield (a, b)
 
 

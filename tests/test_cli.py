@@ -49,6 +49,13 @@ def test_list_explicit_subset(capsys):
     assert code == 0
 
 
+def test_list_of_an_empty_subset_prints_its_count(capsys):
+    # a prime has no zero divisors
+    assert run(capsys, "list", "7", "--subset", "zero-divisors") == (
+        0, "The number of gcd-pairs is 0\n", ""
+    )
+
+
 def test_list_1_is_empty(capsys):
     code, out, _ = run(capsys, "list", "1")
     assert code == 0
@@ -433,7 +440,7 @@ def test_graph_bounds_exit_2_before_any_work(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("no work above the bound")
 
-    for name in ("build", "pair_total", "row_masks"):
+    for name in ("build", "pair_total", "pair_rows"):
         monkeypatch.setattr(cli, name, refuse)
     above = str(cli.FORMULA_MAX_N + 1)
     message = f"gcdpairs graph: the edge count takes n <= {cli.FORMULA_MAX_N}, got {above}\n"
@@ -454,6 +461,29 @@ def test_graph_bounds_exit_2_before_any_work(monkeypatch, capsys):
     assert f"graph bounds (fixed): {bounds}" in cli._EPILOG
 
 
+def test_row_walk_bound_exits_2_before_any_work(monkeypatch, capsys):
+    from gcdpairs import cli
+
+    def refuse(*args):
+        raise AssertionError("no work above the bound")
+
+    for name in ("pair_rows", "classify_elements", "residue_mask"):
+        monkeypatch.setattr(cli, name, refuse)
+    above = str(cli.ROW_WALK_MAX_N + 1)
+    message = f"gcdpairs list: the row walk takes n <= {cli.ROW_WALK_MAX_N}, got {above}\n"
+    for argv in ((), ("--json",), ("--subset", "units"), ("--subset", "0,1")):
+        assert run(capsys, "list", above, *argv) == (2, "", message), argv
+    message = f"gcdpairs graph: --json and --dot take n <= {cli.ROW_WALK_MAX_N}, got {above}\n"
+    for argv in (("--json",), ("--dot", "-"), ("--dot", os.devnull)):
+        assert run(capsys, "graph", above, *argv) == (2, "", message), argv
+    # the summary line walks no row
+    monkeypatch.setattr(cli, "pair_total", lambda n: 1000)
+    summary = f"G_{above}: {above} vertices, 997 edges, 3 loops\n"
+    assert run(capsys, "graph", above) == (0, summary, "")
+    bound = f"n <= {cli.ROW_WALK_MAX_N} for list, graph --json and graph --dot"
+    assert f"row walk bound (fixed): {bound}" in cli._EPILOG
+
+
 def test_graph_counts_its_edges_in_closed_form(monkeypatch, capsys):
     # count_pairs walked n rows of up to n cells: graph 200000 took about 5 s
     from gcdpairs import cli, graph, pairs
@@ -461,7 +491,7 @@ def test_graph_counts_its_edges_in_closed_form(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("enumerated the pairs")
 
-    for owner, name in ((cli, "count_pairs"), (cli, "row_masks"), (graph, "row_masks"),
+    for owner, name in ((cli, "count_pairs"), (cli, "pair_rows"), (graph, "row_masks"),
                         (pairs, "count_pairs"), (pairs, "row_masks")):
         monkeypatch.setattr(owner, name, refuse)
     code, out, _ = run(capsys, "graph", "200000")
@@ -476,7 +506,8 @@ def test_count_formula_at_ten_million_in_flat_memory(capsys):
         "formula zero divisors: >= 2627561832914 (lower-bound, divisor-cell-sum)",
     ]
     out = subprocess.run(
-        [sys.executable, "-S", "-c", _PEAK_RSS, "count", "10000000", "--method", "formula"],
+        [sys.executable, "-S", "-c", _PEAK_RSS, os.devnull,
+         "count", "10000000", "--method", "formula"],
         env=_subprocess_env(), capture_output=True, check=True, timeout=60,
     ).stdout
     code, peak_kib = map(int, out.split())
@@ -753,10 +784,11 @@ def test_closed_pipe_shared_with_stderr_exits_2():
 
 # A child's ru_maxrss starts from the RSS of the process that forked it, so
 # the command is spawned from a bare interpreter, not from this test process.
+# The first argument names the file that takes the command's stdout.
 _PEAK_RSS = """\
 import os, sys
-argv = [sys.executable, "-m", "gcdpairs", *sys.argv[1:]]
-quiet = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+argv = [sys.executable, "-m", "gcdpairs", *sys.argv[2:]]
+quiet = [(os.POSIX_SPAWN_OPEN, 1, sys.argv[1], os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)]
 _, status, usage = os.wait4(os.posix_spawn(argv[0], argv, os.environ, file_actions=quiet), 0)
 print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
@@ -765,7 +797,7 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 def test_graph_json_streams_in_bounded_memory():
     # the whole edge list as one payload peaked at 670 MB
     out = subprocess.run(
-        [sys.executable, "-S", "-c", _PEAK_RSS, "graph", "2000", "--json"],
+        [sys.executable, "-S", "-c", _PEAK_RSS, os.devnull, "graph", "2000", "--json"],
         env=_subprocess_env(), capture_output=True, check=True, timeout=60,
     ).stdout
     code, peak_kib = map(int, out.split())
@@ -775,11 +807,24 @@ def test_graph_json_streams_in_bounded_memory():
 def test_graph_analyze_builds_in_bounded_memory():
     # an n x n bool matrix and its transpose peaked at 304 MB for n = 12000
     out = subprocess.run(
-        [sys.executable, "-S", "-c", _PEAK_RSS, "graph", "12000", "--analyze"],
+        [sys.executable, "-S", "-c", _PEAK_RSS, os.devnull, "graph", "12000", "--analyze"],
         env=_subprocess_env(), capture_output=True, check=True, timeout=60,
     ).stdout
     code, peak_kib = map(int, out.split())
     assert code == 0 and peak_kib < 100 * 1024, peak_kib
+
+
+def test_list_subset_sieves_only_its_rows(tmp_path):
+    # every row of n cells was sieved: 1.3 GB, and no line after 115 s
+    stdout = tmp_path / "stdout"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", _PEAK_RSS, str(stdout),
+         "list", "10000000", "--subset", "0,1"],
+        env=_subprocess_env(), capture_output=True, check=True, timeout=60,
+    ).stdout
+    code, peak_kib = map(int, out.split())
+    assert code == 0 and peak_kib < 150 * 1024, peak_kib
+    assert stdout.read_text() == "{0,1}\n{1,1}\nThe number of gcd-pairs is 2\n"
 
 
 def test_invariant_table_output_digest():

@@ -369,6 +369,45 @@ def test_prime_power_formula_returns_a_python_int():
         assert type(count_prime_power_formula(pp).value) is int, pp
 
 
+def test_row_masks_sieve_exactly_the_rows_asked_for():
+    # the rows of a subset, including row 0 (the divisors) and row n - 1
+    for n in (1, 2, 360, 1001, 2310):
+        full = dict(pairs.row_masks(n))
+        for rows in ([], [0], [n - 1], sorted({0, 1 % n, n // 2, n - 1}), list(range(n % 7, n, 7))):
+            got = list(pairs.row_masks(n, rows))
+            assert [a for a, _ in got] == rows, (n, rows)
+            for a, row in got:
+                assert np.array_equal(row, full[a]), (n, a)
+
+
+def test_row_masks_size_the_factor_table_to_the_last_row(monkeypatch):
+    limits = []
+
+    def counted(limit):
+        limits.append(limit)
+        return numtheory.smallest_prime_factors(limit)
+
+    monkeypatch.setattr(pairs, "smallest_prime_factors", counted)
+    for rows in (None, [0, 7, 100], [], [0]):
+        list(pairs.row_masks(360, rows))
+    assert limits == [359, 100, 0, 0]
+
+
+def test_pair_rows_equal_the_definition_restricted_to_a_subset():
+    for n in range(1, 61):
+        subsets = [frozenset(), frozenset({0}), frozenset({0, 1 % n, n - 1})]
+        if n >= 2:
+            subsets += [classify_elements(n).units, classify_elements(n).zero_divisors]
+        assert [(a, b) for a, bs in pairs.pair_rows(n) for b in bs.tolist()] == list(
+            _naive_pairs(n)
+        ), n
+        for subset in subsets:
+            rows = list(pairs.pair_rows(n, residue_mask(n, subset)))
+            assert [a for a, _ in rows] == sorted(subset), (n, sorted(subset))
+            got = tuple((a, b) for a, bs in rows for b in bs.tolist())
+            assert got == _restricted(_naive_pairs(n), subset), (n, sorted(subset))
+
+
 def test_row_masks_are_full_rows():
     for n in (1, 2, 12, 35, 64):
         rows = list(pairs.row_masks(n))
