@@ -8,7 +8,7 @@ Example:
 import argparse
 
 from gcdpairs.graph import SearchBounds, analyze, build
-from gcdpairs.pairs import classify_elements, count_pairs, residue_mask
+from gcdpairs.pairs import classify_elements, count_pairs
 
 
 def main() -> None:
@@ -22,8 +22,7 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     for n in range(max(args.start, 2), args.stop + 1):
-        zero_divisors = residue_mask(n, classify_elements(n).zero_divisors)
-        pairs, zd_pairs = count_pairs(n, zero_divisors)
+        pairs, zd_pairs = count_pairs(n, classify_elements(n).zero_divisors)
         g = build(n)
         invariants, _ = analyze(g, bounds)
         omega = invariants["clique_number"]

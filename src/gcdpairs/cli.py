@@ -39,9 +39,9 @@ FORMULA_MAX_N = 10**9
 # to n cells, so time grows as n^2: 200000 takes about 7 s and 57 MB, and the
 # prime 199999 about 9 s and 64 MB, on a 2-vCPU VM.
 ENUMERATE_MAX_N = 200_000
-# The largest n that list, graph --json and graph --dot take. Each row is n cells,
-# formatted at once: at n = 10^7 list --subset 0,1 takes 0.24 s and 53 MB, and a
-# full row peaks near 0.9 GB as list text and 2.2 GB as JSON on a 2-vCPU VM.
+# The largest n that list, graph --json and graph --dot take. Each row is n cells:
+# at n = 10^7 list --subset 0,1 takes 0.24 s and 53 MB, and over the first 10^9
+# bytes the full rows peak near 0.7 GB as list text and 1.4 GB as JSON (2-vCPU VM).
 ROW_WALK_MAX_N = 10_000_000
 # The largest n that graph --analyze takes. build holds n masks of n bits, so
 # memory grows as n^2: 19992 takes about 2.1 s and 90 MB on a 2-vCPU VM.
@@ -117,21 +117,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_subset(n: int, text: str) -> tuple[str, frozenset[int] | None]:
-    """(label, residues or None for the full set); raises ValueError on bad input."""
+def _parse_subset(n: int, text: str) -> tuple[str, np.ndarray | None]:
+    """(label, the length-n bool array flagging the subset or None for all of
+    Z_n); raises ValueError on bad input."""
     if text == "all":
         return "full", None
     if text in ("units", "zero-divisors"):
         if n < 2:
             raise ValueError(f"subset '{text}' needs n >= 2")
         classes = classify_elements(n)
-        chosen = classes.units if text == "units" else classes.zero_divisors
-        return text, chosen
+        return text, classes.units if text == "units" else classes.zero_divisors
     residues = frozenset(int(part) for part in text.split(","))
     for x in residues:
         if not 0 <= x < n:
             raise ValueError(f"residue {x} outside [0, {n})")
-    return "subset:" + ",".join(map(str, sorted(residues))), residues
+    return "subset:" + ",".join(map(str, sorted(residues))), residue_mask(n, residues)
 
 
 def _write_rows(out, bound: int, rows, head: str, tail: str, sep: str = "") -> int:
@@ -141,7 +141,8 @@ def _write_rows(out, bound: int, rows, head: str, tail: str, sep: str = "") -> i
 
     A record is built in numpy, not per pair in Python: the b part is one
     fixed-width void item from a table per digit width, and each row's run of
-    one width is a structured array (head, b) turned into bytes at once."""
+    one width is a structured array (head, b), written as soon as it is built
+    and decoded straight off its buffer."""
     starts, tables = [], []  # tables[i] holds "b" + tail for the b >= starts[i] with i + 1 digits
     ends = np.frombuffer(tail.encode(), np.uint8)
     lo, width = 0, 1
@@ -158,20 +159,19 @@ def _write_rows(out, bound: int, rows, head: str, tail: str, sep: str = "") -> i
         lo, width = hi, width + 1
     bounds = starts + [bound]
     count = 0
+    skip = len(sep)  # the bytes of the first block not to write: the first record's sep
     for a, row in rows:
         if not row.size:
             continue
         head_item = np.void((sep + head % a).encode())
         cuts = np.searchsorted(row, bounds).tolist()
-        blocks = []
         for table, lo, i, j in zip(tables, starts, cuts, cuts[1:]):
             if i < j:
                 block = np.empty(j - i, [("head", head_item.dtype), ("b", table.dtype)])
                 block["head"] = head_item
                 block["b"] = np.take(table, row[i:j] - lo)
-                blocks.append(block.tobytes())
-        text = b"".join(blocks).decode("ascii")
-        out.write(text[len(sep) :] if count == 0 else text)
+                out.write(str(memoryview(block).cast("B")[skip:], "ascii"))
+                skip = 0
         count += row.size
     return count
 
@@ -198,14 +198,13 @@ def cmd_list(args: argparse.Namespace) -> int:
         print(f"gcdpairs list: {message}", file=sys.stderr)
         return 2
     try:
-        label, subset = _parse_subset(args.n, args.subset)
+        label, within = _parse_subset(args.n, args.subset)
     except ValueError as exc:
         print(f"gcdpairs list: {exc}", file=sys.stderr)
         return 2
-    if subset is None:
-        rows, bound = pair_rows(args.n), args.n
-    else:  # the digit tables need reach no further than the largest residue
-        rows, bound = pair_rows(args.n, residue_mask(args.n, subset)), max(subset, default=0) + 1
+    rows, bound = pair_rows(args.n, within), args.n
+    if within is not None:  # the digit tables need reach only past the last flagged residue
+        bound = args.n - int(np.argmax(within[::-1])) if within.any() else 1
     if args.json:
         _write_json(sys.stdout, bound, {"schema": 1, "n": args.n, "label": label}, "pairs", rows)
         return 0
@@ -264,8 +263,8 @@ def cmd_count(args: argparse.Namespace) -> int:
     enumerated: dict[str, int] | None = None
     formulas: tuple[CountResult | None, CountResult | None] | None = None
     if args.method in ("enumerate", "both"):
-        zero_divisors = classify_elements(n).zero_divisors if n >= 2 else ()
-        total, among_zero = count_pairs(n, residue_mask(n, zero_divisors))
+        zero_divisors = classify_elements(n).zero_divisors if n >= 2 else np.zeros(n, dtype=bool)
+        total, among_zero = count_pairs(n, zero_divisors)
         enumerated = {"total": total, "zero_divisors": among_zero}
     if args.method in ("formula", "both"):
         formulas = _formula_counts(n)

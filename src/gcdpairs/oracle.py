@@ -94,26 +94,22 @@ class GcdTable:
         self.limit = limit
         self.gcds = a.reshape(limit, limit)
 
-    def rows(self, n: int, elements=None) -> np.ndarray:
-        """gcd(a, b) for a over the sorted `elements` (default Z_n) and b over Z_n."""
+    def rows(self, n: int, within: np.ndarray | None = None) -> np.ndarray:
+        """gcd(a, b) for a over the residues flagged in the length-n bool array
+        `within` (default all of Z_n), ascending, and b over Z_n."""
         if not 1 <= n < self.limit:
             raise OracleBoundError(f"GcdTable({self.limit}) covers 1 <= n < {self.limit}, got {n}")
-        if elements is None:
-            return self.gcds[:n, :n]
-        return self.gcds[_sorted_indices(elements), :n]
+        block = self.gcds[:n, :n]
+        return block if within is None else block[within]
 
-    def count(self, n: int, elements=None) -> int:
-        """Pairs a <= b among `elements` (default all of Z_n) whose gcd divides n."""
-        block = self.rows(n, elements)
-        if elements is not None:
-            block = block[:, _sorted_indices(elements)]
+    def count(self, n: int, within: np.ndarray | None = None) -> int:
+        """Pairs a <= b flagged in `within` (default all of Z_n) whose gcd divides n."""
+        block = self.rows(n)
+        if within is not None:
+            block = block[np.ix_(within, within)]
         hits = n % block == 0
         # the block is symmetric, so each pair off its diagonal is counted twice
         return (int(np.count_nonzero(hits)) + int(np.count_nonzero(hits.diagonal()))) // 2
-
-
-def _sorted_indices(elements) -> np.ndarray:
-    return np.array(sorted(set(elements)), dtype=np.intp)
 
 
 def _adjacency(g: GcdGraph) -> list[int]:

@@ -30,9 +30,8 @@ from .numtheory import (
 
 
 class ElementClasses(NamedTuple):
-    zero: frozenset[int]
-    units: frozenset[int]
-    zero_divisors: frozenset[int]
+    units: np.ndarray
+    zero_divisors: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -153,12 +152,17 @@ def pair_total(n: int) -> int:
 
 
 def classify_elements(n: int) -> ElementClasses:
-    """Partition Z_n (n >= 2) into {0}, units, and zero divisors."""
+    """The units and the zero divisors of Z_n (n >= 2) as length-n bool arrays:
+    the units clear every p-th cell from cell 0 for each prime p of n, as
+    row_masks does, and the rest but 0 are the zero divisors."""
     if n < 2:
         raise ValueError(f"classify_elements requires n >= 2, got {n}")
-    units = frozenset(a for a in range(1, n) if gcd(a, n) == 1)
-    zero_divisors = frozenset(range(1, n)) - units
-    return ElementClasses(frozenset({0}), units, zero_divisors)
+    units = np.ones(n, dtype=bool)
+    for p in prime_factors(n):
+        units[::p] = False
+    zero_divisors = ~units
+    zero_divisors[0] = False
+    return ElementClasses(units, zero_divisors)
 
 
 def zero_divisor_partition(n: int) -> ZeroDivisorPartition:

@@ -827,6 +827,19 @@ def test_list_subset_sieves_only_its_rows(tmp_path):
     assert stdout.read_text() == "{0,1}\n{1,1}\nThe number of gcd-pairs is 2\n"
 
 
+def test_list_of_no_zero_divisors_stays_small(tmp_path):
+    # frozensets of every residue, one gcd each, peaked at 1.19 GB and took 4.9 s
+    stdout = tmp_path / "stdout"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", _PEAK_RSS, str(stdout),
+         "list", "9999991", "--subset", "zero-divisors"],
+        env=_subprocess_env(), capture_output=True, check=True, timeout=60,
+    ).stdout
+    code, peak_kib = map(int, out.split())
+    assert code == 0 and peak_kib < 150 * 1024, peak_kib
+    assert stdout.read_text() == "The number of gcd-pairs is 0\n"
+
+
 def test_invariant_table_output_digest():
     # the script reads GCDPAIRS_MAX_EXACT; the digest is for the default search bounds
     env = {k: v for k, v in _subprocess_env().items() if k != "GCDPAIRS_MAX_EXACT"}

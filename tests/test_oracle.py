@@ -21,7 +21,6 @@ from gcdpairs.pairs import (
     classify_elements,
     count_pairs,
     iter_pairs,
-    residue_mask,
 )
 
 
@@ -53,10 +52,10 @@ def test_row_counts_and_rows_equal_euclid_oracle_to_150():
     for n in range(1, 151):
         reference = oracle.naive_enumerate(n).pairs
         assert list(iter_pairs(n)) == list(reference), n
-        for subset in classify_elements(n)[1:] if n >= 2 else [frozenset()]:  # units, zero divisors
-            within = residue_mask(n, subset)
+        for within in classify_elements(n) if n >= 2 else [np.zeros(n, dtype=bool)]:
+            subset = np.flatnonzero(within).tolist()  # the units, then the zero divisors
             expected = (len(reference), oracle.naive_restricted_count(n, subset))
-            assert count_pairs(n, within) == expected, (n, sorted(subset))
+            assert count_pairs(n, within) == expected, (n, subset)
 
 
 def test_naive_restricted_count():
@@ -73,8 +72,9 @@ def test_gcd_table_matches_the_per_n_oracles_to_150():
                 assert table.gcds[a, b] == math.gcd(a, b), (a, b)
     for n in range(1, 151):
         assert table.count(n) == oracle.naive_count(n), n
-        for subset in classify_elements(n)[1:] if n >= 2 else [frozenset()]:  # units, zero divisors
-            assert table.count(n, subset) == oracle.naive_restricted_count(n, subset), n
+        for within in classify_elements(n) if n >= 2 else [np.zeros(n, dtype=bool)]:
+            subset = np.flatnonzero(within).tolist()  # the units, then the zero divisors
+            assert table.count(n, within) == oracle.naive_restricted_count(n, subset), (n, subset)
     for n in (0, 151):
         with pytest.raises(oracle.OracleBoundError):
             table.count(n)

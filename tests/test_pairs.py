@@ -58,9 +58,13 @@ NU_15_ZERO_DIVISORS = (
 NU_8_ZERO_DIVISORS = ((2, 2), (2, 4), (2, 6), (4, 4), (4, 6))
 
 
-def _restricted(pairs, subset):
-    """The pairs with both ends in subset, filtered one by one."""
-    return tuple((a, b) for a, b in pairs if a in subset and b in subset)
+def _restricted(pairs, within):
+    """The pairs with both ends flagged in the bool array within, filtered one by one."""
+    return tuple((a, b) for a, b in pairs if within[a] and within[b])
+
+
+def _flagged(within):
+    return np.flatnonzero(within).tolist()
 
 
 def _listed(capsys, *argv):
@@ -123,7 +127,7 @@ def test_divisor_member_always_pairs(n, data):
 
 @given(st.integers(2, 300), st.data())
 def test_unit_members_pair_only_coprimes(n, data):
-    units = sorted(classify_elements(n).units)
+    units = _flagged(classify_elements(n).units)
     a = data.draw(st.sampled_from(units))
     b = data.draw(st.integers(0, n - 1))
     if is_gcd_pair(n, a, b):
@@ -159,20 +163,29 @@ def test_restrict_empty_and_validation(capsys):
 
 def test_classify_elements_examples():
     classes = classify_elements(6)
-    assert classes.units == frozenset({1, 5})
-    assert classes.zero_divisors == frozenset({2, 3, 4})
-    assert classify_elements(7).zero_divisors == frozenset()
-    assert classify_elements(8).zero_divisors == frozenset({2, 4, 6})
-    assert classify_elements(9).units == frozenset({1, 2, 4, 5, 7, 8})
+    assert _flagged(classes.units) == [1, 5]
+    assert _flagged(classes.zero_divisors) == [2, 3, 4]
+    assert _flagged(classify_elements(7).zero_divisors) == []
+    assert _flagged(classify_elements(8).zero_divisors) == [2, 4, 6]
+    assert _flagged(classify_elements(9).units) == [1, 2, 4, 5, 7, 8]
     with pytest.raises(ValueError):
         classify_elements(1)
 
 
+def test_classify_elements_masks_equal_the_definition_to_500():
+    for n in range(2, 501):
+        units, zero_divisors = classify_elements(n)
+        assert units.dtype == zero_divisors.dtype == np.bool_
+        assert units.tolist() == [math.gcd(a, n) == 1 for a in range(n)], n
+        assert zero_divisors.tolist() == [a != 0 and math.gcd(a, n) > 1 for a in range(n)], n
+
+
 @given(st.integers(2, 400))
 def test_classification_partitions_the_ring(n):
-    zero, units, zero_divisors = classify_elements(n)
-    assert zero | units | zero_divisors == frozenset(range(n))
-    assert not (units & zero_divisors) and 0 not in units and 0 not in zero_divisors
+    units, zero_divisors = classify_elements(n)
+    assert len(units) == len(zero_divisors) == n
+    assert (units | zero_divisors).tolist() == [a != 0 for a in range(n)]
+    assert not (units & zero_divisors).any() and not units[0] and not zero_divisors[0]
 
 
 def test_zero_divisor_partition_examples():
@@ -191,7 +204,7 @@ def test_zero_divisor_partition_is_a_partition(n):
         assert cell == {r * d for r in range(1, n // d) if math.gcd(r * d, n) == d}
         assert not (seen & cell)
         seen |= cell
-    assert seen == set(classify_elements(n).zero_divisors)
+    assert seen == set(_flagged(classify_elements(n).zero_divisors))
 
 
 def test_count_prime_power_formula_examples():
@@ -280,7 +293,7 @@ def _cell_unit_matching(n, d):
     (left, right) entries, with the unit pairs of Z_{n/d} it should hit; both
     sides come from the oracle's definition."""
     cell = zero_divisor_partition(n).cells[d]
-    left = _restricted(_naive_pairs(n), cell)
+    left = _restricted(_naive_pairs(n), residue_mask(n, cell))
     m = n // d
     right = _restricted(_naive_pairs(m), classify_elements(m).units) if m >= 2 else ()
     return [((a, b), (a // d, b // d)) for a, b in left], right
@@ -327,7 +340,7 @@ def test_unit_pair_count_matches_the_gcd_table_below_1000():
     table = oracle.GcdTable(1000)
     mobius_sum = mertens(998)
     for m in range(1, 1000):
-        units = [x for x in range(m) if math.gcd(x, m) == 1]
+        units = np.array([math.gcd(x, m) == 1 for x in range(m)])
         assert pairs._unit_pair_count(m, mobius_sum) == table.count(m, units), m
 
 
@@ -395,17 +408,17 @@ def test_row_masks_size_the_factor_table_to_the_last_row(monkeypatch):
 
 def test_pair_rows_equal_the_definition_restricted_to_a_subset():
     for n in range(1, 61):
-        subsets = [frozenset(), frozenset({0}), frozenset({0, 1 % n, n - 1})]
+        subsets = [residue_mask(n, s) for s in ((), {0}, {0, 1 % n, n - 1})]
         if n >= 2:
-            subsets += [classify_elements(n).units, classify_elements(n).zero_divisors]
+            subsets += list(classify_elements(n))  # the units and the zero divisors
         assert [(a, b) for a, bs in pairs.pair_rows(n) for b in bs.tolist()] == list(
             _naive_pairs(n)
         ), n
-        for subset in subsets:
-            rows = list(pairs.pair_rows(n, residue_mask(n, subset)))
-            assert [a for a, _ in rows] == sorted(subset), (n, sorted(subset))
+        for within in subsets:
+            rows = list(pairs.pair_rows(n, within))
+            assert [a for a, _ in rows] == _flagged(within), (n, _flagged(within))
             got = tuple((a, b) for a, bs in rows for b in bs.tolist())
-            assert got == _restricted(_naive_pairs(n), subset), (n, sorted(subset))
+            assert got == _restricted(_naive_pairs(n), within), (n, _flagged(within))
 
 
 def test_row_masks_are_full_rows():
