@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,17 +83,31 @@ def naive_restricted_count(n: int, elements) -> int:
 
 
 class GcdTable:
-    """gcd(a, b) for every 0 <= a, b < limit, by the Euclid recurrence above run
-    on whole arrays, for claims that count pairs at many n below one limit."""
+    """gcd(a, b) for every 0 <= a, b < limit, in the narrowest type holding limit, for
+    claims that count pairs at many n below it. Row a comes from the rows b < a by Euclid's
+    gcd(a, b) = gcd(b, a mod b); whole-Z_n counts from a running histogram (`totals`)."""
 
     def __init__(self, limit: int):
-        values = np.arange(limit, dtype=np.int32)
-        a, b = np.repeat(values, limit), np.tile(values, limit)
-        while (live := np.flatnonzero(b)).size:
-            a[live], b[live] = b[live], a[live] % b[live]
-        a[0] = limit  # gcd(0, 0): a sentinel that divides no n < limit
+        values = np.arange(limit, dtype=np.min_scalar_type(limit))
         self.limit = limit
-        self.gcds = a.reshape(limit, limit)
+        self.gcds = gcds = np.zeros((limit, limit), dtype=values.dtype)
+        gcds[0], gcds[:, 0] = values, values  # gcd(a, 0) = a
+        for a in range(1, limit):
+            b = values[1 : a + 1]
+            gcds[a, 1 : a + 1] = gcds[1 : a + 1, a] = gcds[b, a % b]
+        gcds[0, 0] = limit  # gcd(0, 0): a sentinel that divides no n < limit
+
+    @cached_property
+    def totals(self) -> list[int]:
+        """totals[n] = #{a <= b < n : gcd(a, b) | n}, read off `gcds` at first use: a
+        running histogram of gcd(a, b), a <= b < n, summed over the divisors of n."""
+        histogram = np.zeros(self.limit + 1, dtype=np.int64)
+        totals = [0]
+        for n in range(1, self.limit):
+            histogram += np.bincount(self.gcds[n - 1, :n], minlength=self.limit + 1)
+            d = np.arange(1, n + 1)
+            totals.append(int(histogram[d[n % d == 0]].sum()))
+        return totals
 
     def rows(self, n: int, within: np.ndarray | None = None) -> np.ndarray:
         """gcd(a, b) for a over the residues flagged in the length-n bool array
@@ -104,10 +119,10 @@ class GcdTable:
 
     def count(self, n: int, within: np.ndarray | None = None) -> int:
         """Pairs a <= b flagged in `within` (default all of Z_n) whose gcd divides n."""
-        block = self.rows(n)
-        if within is not None:
-            block = block[np.ix_(within, within)]
-        hits = n % block == 0
+        block = self.rows(n, within)  # raises outside the bound
+        if within is None:
+            return self.totals[n]
+        hits = n % block[:, within] == 0
         # the block is symmetric, so each pair off its diagonal is counted twice
         return (int(np.count_nonzero(hits)) + int(np.count_nonzero(hits.diagonal()))) // 2
 
@@ -188,68 +203,53 @@ def exhaustive_chromatic(g: GcdGraph) -> int:
 def exhaustive_hamiltonian(g: GcdGraph) -> tuple[PathWitness | None, int]:
     """(Hamiltonian cycle or None, maximum cycle order) for n <= 15.
 
-    Exhaustive search over (visited subset, endpoint) states, run once per
-    anchor vertex s with all other cycle vertices above s, so every cycle is
-    examined exactly once up to rotation, until n - s <= the best order found.
+    Exhaustive search over every (visited subset, endpoint) state, the subset
+    recurrence of Bellman (J. ACM 9, 1962) and Held–Karp (SIAM J. 10, 1962)
+    taken one subset size at a time on whole arrays. It runs once per anchor
+    vertex s with all other cycle vertices above s, so every cycle is examined
+    exactly once up to rotation, until n - s <= the best order found: no cycle
+    on the n - s vertices >= s can be longer.
     """
     if g.n > MAX_CYCLE_N:
         raise OracleBoundError(f"exhaustive_hamiltonian is bounded at n <= {MAX_CYCLE_N}")
     n = g.n
     adjmask = _adjacency(g)
+    masks = np.arange(1 << n, dtype=np.uint16)  # n <= 15; small temporaries, small peak RSS
+    sizes = sum((masks >> bit) & 1 for bit in range(n))  # popcount of every mask
     best_order = 0
     ham: PathWitness | None = None
     for s in range(n):
-        if n - s <= best_order:  # no cycle on the n - s vertices >= s is longer
+        if n - s <= best_order:
             break
-        ends: dict[int, int] = {1 << s: 1 << s}
-        frontier = [1 << s]
-        i = 0
-        while i < len(frontier):
-            mask = frontier[i]
-            i += 1
-            size = mask.bit_count()
-            endpoints = ends[mask]
-            e = endpoints
-            while e:
-                vbit = e & -e
-                e ^= vbit
-                v = vbit.bit_length() - 1
-                if size >= 3 and adjmask[v] >> s & 1 and size > best_order:
-                    best_order = size
-                    if size == n:
-                        ham = PathWitness(
-                            vertices=_reconstruct_cycle(n, v, ends, adjmask), closed=True
-                        )
-                above = adjmask[v] & ~mask & ~((1 << (s + 1)) - 1)
-                w = above
-                while w:
-                    ubit = w & -w
-                    w ^= ubit
-                    nxt = mask | ubit
-                    if nxt not in ends:
-                        ends[nxt] = 0
-                        frontier.append(nxt)
-                    ends[nxt] |= ubit
+        ends = np.zeros(1 << n, dtype=np.int32)  # ends[mask]: bitset of path endpoints
+        ends[1 << s] = 1 << s
+        for size in range(1, n - s + 1):
+            layer = np.flatnonzero((sizes == size) & (ends != 0))
+            layer_ends = ends[layer]
+            if size > max(best_order, 2) and (layer_ends & adjmask[s]).any():
+                best_order = size
+                if size == n:
+                    ham = PathWitness(vertices=_reconstruct_cycle(n, ends, adjmask), closed=True)
+            for u in range(s + 1, n):
+                extend = layer[(layer >> u & 1 == 0) & (layer_ends & adjmask[u] != 0)]
+                ends[extend | 1 << u] |= 1 << u
     return ham, best_order
 
 
-def _reconstruct_cycle(
-    n: int, last: int, ends: dict[int, int], adjmask: list[int]
-) -> tuple[int, ...]:
-    """Walk the subset table backwards from (full vertex set, last) to the anchor.
+def _reconstruct_cycle(n: int, ends: np.ndarray, adjmask: list[int]) -> tuple[int, ...]:
+    """Walk the subset table backwards from the full vertex set, first to the lowest
+    endpoint that closes the cycle at the anchor, then each step to the lowest endpoint
+    adjacent to the vertex after it, until the walk is back at the anchor.
 
     Only anchor 0 can reach a full-size subset (the search above an anchor s
     never touches vertices below s), so the walk starts from the full mask.
     """
-    path = [last]
-    mask = (1 << n) - 1
-    v = last
-    while mask.bit_count() > 1:
-        prev_mask = mask & ~(1 << v)
-        candidates = ends.get(prev_mask, 0) & adjmask[v]
-        u = (candidates & -candidates).bit_length() - 1
-        path.append(u)
-        mask, v = prev_mask, u
+    path, mask, v = [], (1 << n) - 1, 0
+    while mask:
+        candidates = int(ends[mask]) & adjmask[v]
+        v = (candidates & -candidates).bit_length() - 1
+        path.append(v)
+        mask &= ~(1 << v)
     path.reverse()
     return tuple(path)
 

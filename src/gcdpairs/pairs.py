@@ -82,9 +82,9 @@ def row_masks(n: int, rows: Sequence[int] | None = None) -> Iterator[tuple[int, 
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
     rows = range(n) if rows is None else rows
-    spf = smallest_prime_factors(rows[-1] if rows else 0)
+    spf = smallest_prime_factors(int(rows[-1]) if len(rows) else 0)
     ones = np.ones(n, dtype=bool)  # a copy per row costs less than np.ones
-    for a in rows:
+    for a in map(int, rows):
         if a == 0:
             yield 0, residue_mask(n, divisors(n)[:-1])
             continue
@@ -110,7 +110,7 @@ def pair_rows(n: int, within: np.ndarray | None = None) -> Iterator[tuple[int, n
             yield a, np.flatnonzero(row[a:]) + a
         return
     flagged = np.flatnonzero(within)
-    for i, (a, row) in enumerate(row_masks(n, flagged.tolist())):
+    for i, (a, row) in enumerate(row_masks(n, flagged)):
         above = flagged[i:]  # the flagged b >= a
         yield a, above[row[above]]
 

@@ -158,9 +158,9 @@ def _claim(
     return register
 
 
-# Each G_n is built once per process and shared by every claim that needs it;
-# the counting claims read every brute-force pair count off one oracle gcd table
-# per claim limit (the default limits keep graphs n <= 200 and counts n <= 500).
+# Each G_n is built once per process and shared by every claim that needs it (n <= 200 by
+# default); the counting claims read each brute-force pair count off one oracle gcd table
+# per claim limit (n <= 500), which sums the totals of every whole Z_n at its first count.
 
 
 @cache

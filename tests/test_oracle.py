@@ -64,20 +64,32 @@ def test_naive_restricted_count():
     assert oracle.naive_restricted_count(7, set()) == 0
 
 
-def test_gcd_table_matches_the_per_n_oracles_to_150():
-    table = oracle.GcdTable(151)
-    for a in range(151):
-        for b in range(151):
+def _check_gcd_table(limit):
+    table = oracle.GcdTable(limit)
+    for a in range(limit):
+        for b in range(limit):
             if a or b:
                 assert table.gcds[a, b] == math.gcd(a, b), (a, b)
-    for n in range(1, 151):
+    assert table.gcds[0, 0] == limit  # the sentinel, which divides no n < limit
+    for n in range(1, limit):
         assert table.count(n) == oracle.naive_count(n), n
+        everything = np.ones(n, dtype=bool)  # flags 0, so the block holds the sentinel
+        assert table.count(n, everything) == oracle.naive_restricted_count(n, range(n)), n
         for within in classify_elements(n) if n >= 2 else [np.zeros(n, dtype=bool)]:
             subset = np.flatnonzero(within).tolist()  # the units, then the zero divisors
             assert table.count(n, within) == oracle.naive_restricted_count(n, subset), (n, subset)
-    for n in (0, 151):
+    for n in (0, limit):
         with pytest.raises(oracle.OracleBoundError):
             table.count(n)
+
+
+def test_gcd_table_matches_the_per_n_oracles_to_150():
+    _check_gcd_table(151)
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3])  # verify --max-n 2 builds GcdTable(3)
+def test_gcd_table_at_the_smallest_limits(limit):
+    _check_gcd_table(limit)
 
 
 def test_exhaustive_clique_examples():
@@ -144,6 +156,10 @@ def test_cycle_oracle_equals_the_longest_ordering(g):
     cycle, longest = oracle.exhaustive_hamiltonian(g)
     assert longest == _longest_cycle(g)
     assert (cycle is not None) == (g.n >= 3 and longest == g.n)
+    if cycle is not None:  # closed, through every vertex once, along edges of g
+        ring = cycle.vertices
+        assert cycle.closed and sorted(ring) == list(range(g.n))
+        assert all(_is_clique(g, step) for step in zip(ring, ring[1:] + ring[:1]))
 
 
 TRIANGLE_567 = [(5, 6), (6, 7), (5, 7)]
