@@ -6,6 +6,11 @@ every a >= 1 with a | n (gcd(a, a) = a), but coloring and planarity ignore
 loops. All witness-returning searches break ties lexicographically so outputs
 are deterministic and golden-testable.
 
+Planarity is decided on the masks: Euler's edge bound, then a reduction of
+the vertices of degree <= 2 to a kernel, which is planar unless it is K5 when
+it has at most 5 vertices. Every G_n ends there, so networkx is imported only
+for a kernel of >= 6 vertices within Euler's bound.
+
 Exact searches (maximum clique, chromatic number) carry configurable input
 bounds and raise ExactSearchBoundError beyond them rather than approximating.
 """
@@ -396,14 +401,41 @@ def _canonical_colors(colors: dict[int, int], n: int) -> dict[int, int]:
 
 
 def is_planar(g: GcdGraph) -> bool:
-    """Exact planarity of the simple-edge graph (loops are irrelevant)."""
+    """Exact planarity of the simple-edge graph (loops are irrelevant).
+
+    Euler's bound comes first: a planar graph on v >= 3 vertices has at most
+    3v - 6 edges. Then each vertex of degree <= 2 is removed, and the two
+    neighbours u, w of a degree-2 vertex are joined. That keeps planarity both
+    ways: it is a smoothing, or, when u–w is already an edge, the vertex redrawn
+    beside it. A kernel of at most 5 vertices is planar unless it is K5; networkx
+    decides a larger one within Euler's bound, which no G_n leaves."""
     if g.n >= 3 and g.edge_count() > 3 * g.n - 6:  # Euler: planar has <= 3v - 6 edges
         return False
-    import networkx as nx  # only planarity needs it, and it is slow to import
+    adj, kernel = list(g.adjacency), (1 << g.n) - 1
+    reduced = True
+    while reduced:
+        reduced = False
+        for v in _bits(kernel):
+            ends = _bits(adj[v])
+            if len(ends) > 2:
+                continue
+            kernel ^= 1 << v
+            for u in ends:
+                adj[u] ^= 1 << v
+            if len(ends) == 2:
+                u, w = ends
+                adj[u] |= 1 << w
+                adj[w] |= 1 << u
+            reduced = True
+    size, edges = kernel.bit_count(), sum(adj[v].bit_count() for v in _bits(kernel)) // 2
+    if size <= 5:
+        return edges < 10  # only K5 has 10 edges on 5 vertices
+    if edges > 3 * size - 6:
+        return False
+    import networkx as nx  # slow to import, and no G_n gets this far
 
     graph = nx.Graph()
-    graph.add_nodes_from(range(g.n))
-    graph.add_edges_from(g.simple_edges)
+    graph.add_edges_from((v, u) for v in _bits(kernel) for u in _bits(adj[v] & _above(v)))
     planar, _ = nx.check_planarity(graph)
     return planar
 

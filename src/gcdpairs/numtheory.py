@@ -177,13 +177,14 @@ def mobius_sieve(limit: int) -> np.ndarray:
     return mu
 
 
-def smallest_prime_factors(limit: int) -> list[int]:
+def smallest_prime_factors(limit: int) -> memoryview:
     """spf[m] is the least prime factor of m for 2 <= m <= limit (spf[0] = 0,
-    spf[1] = 1), sieved by the primes p <= sqrt(limit)."""
-    spf = np.arange(limit + 1)
+    spf[1] = 1), sieved by the primes p <= sqrt(limit). The table is stored in the
+    narrowest type holding limit, and indexing its memoryview gives plain ints."""
+    spf = np.arange(limit + 1, dtype=np.min_scalar_type(limit))
     for p in reversed(primes_below(math.isqrt(limit) + 1)):
         spf[p * p :: p] = p  # descending, so the least prime writes last
-    return spf.tolist()
+    return memoryview(spf)
 
 
 def divisors(n: int) -> list[int]:

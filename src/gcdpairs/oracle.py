@@ -2,9 +2,12 @@
 
 Everything in this module is ground truth for the optimized paths and shares
 no code with them: the gcd loop, the adjacency build, and the searches are all
-written from the definitions. Duplication here is deliberate. Every search is
-exhaustive, never approximate; bounded: each carries a hard input bound, and
-skips only work that a stated theorem proves cannot change its answer.
+written from the definitions. Duplication here is deliberate. Every
+exponential search is exhaustive, never approximate; bounded: each carries a
+hard input bound, and skips only work that a stated theorem proves cannot
+change its answer. Planarity is the exception: `dmp_planar` is the polynomial
+embedding algorithm of Demoucron, Malgrange and Pertuiset (Rev. Française
+Rech. Opér. 8, 1964), exact and with no input bound.
 """
 
 from __future__ import annotations
@@ -254,14 +257,141 @@ def _reconstruct_cycle(n: int, ends: np.ndarray, adjmask: list[int]) -> tuple[in
     return tuple(path)
 
 
-def networkx_planar(g: GcdGraph) -> bool:
-    """Planarity of the simple-edge graph by networkx's test, with no edge bound."""
-    import networkx as nx
+def _vertices(mask: int) -> list[int]:
+    # the oracle's own bit walk: positions of the set bits, ascending
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
 
-    graph = nx.Graph()
-    graph.add_nodes_from(range(g.n))
-    graph.add_edges_from(g.simple_edges)
-    return nx.check_planarity(graph)[0]
+
+def _blocks(adj: list[int]) -> list[int]:
+    """Vertex masks of the biconnected blocks on >= 3 vertices, by Hopcroft and
+    Tarjan's depth-first search (CACM 16(6), 1973) on an explicit stack, so no
+    recursion limit applies. In a simple graph every edge between two vertices
+    of a block belongs to that block."""
+    index, low, blocks, order = [-1] * len(adj), [0] * len(adj), [], itertools.count()
+    for root in range(len(adj)):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = next(order)
+        stack, work = [root], [(root, -1, iter(_vertices(adj[root])))]
+        while work:
+            v, parent, neighbours = work[-1]
+            for w in neighbours:
+                if index[w] < 0:
+                    index[w] = low[w] = next(order)
+                    stack.append(w)
+                    work.append((w, v, iter(_vertices(adj[w]))))
+                    break
+                if w != parent:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if parent < 0:
+                    continue
+                low[parent] = min(low[parent], low[v])
+                if low[v] >= index[parent]:  # parent cuts off the block under v
+                    block = 1 << parent
+                    while not block >> v & 1:
+                        block |= 1 << stack.pop()
+                    if block.bit_count() >= 3:
+                        blocks.append(block)
+    return blocks
+
+
+def _path(adj: list[int], start: int, inside: int, goal: int) -> list[int]:
+    """A shortest path from `start` through vertices of `inside` to one of `goal`."""
+    parent, frontier, seen = {start: start}, [start], 1 << start
+    while frontier:
+        step = []
+        for v in frontier:
+            hit = adj[v] & goal
+            if hit:
+                path = [(hit & -hit).bit_length() - 1, v]
+                while path[-1] != start:
+                    path.append(parent[path[-1]])
+                return path[::-1]
+            for w in _vertices(adj[v] & inside & ~seen):
+                parent[w] = v
+                seen |= 1 << w
+                step.append(w)
+        frontier = step
+    raise AssertionError("unreachable: a block stays connected without any one vertex")
+
+
+def _mask(vertices: list[int]) -> int:
+    return sum(1 << v for v in vertices)
+
+
+def _block_planar(adj: list[int], block: int) -> bool:
+    """DMP on one block: embed a cycle, then repeatedly draw a path of a fragment
+    into a face that holds all the fragment's contact vertices, taking a fragment
+    with only one such face whenever there is one; fail when a fragment has none."""
+    left = [row & block for row in adj]  # the edges not drawn yet
+
+    def draw(path: list[int]) -> None:
+        for x, y in zip(path, path[1:]):
+            left[x] ^= 1 << y
+            left[y] ^= 1 << x
+
+    u = (block & -block).bit_length() - 1
+    w = (left[u] & -left[u]).bit_length() - 1
+    cycle = [u, *_path(left, w, block & ~(1 << u), left[u] & ~(1 << w))]
+    draw(cycle + cycle[:1])
+    faces = [cycle, cycle[::-1]]  # each face boundary, a cycle of vertices
+    embedded = _mask(cycle)
+    while True:
+        fragments = [  # (contact vertices, the vertices off the embedding)
+            (1 << a | 1 << b, 0)
+            for a in _vertices(embedded)
+            for b in _vertices(left[a] & embedded)
+            if a < b
+        ]
+        rest = block & ~embedded
+        while rest:
+            part = frontier = rest & -rest
+            while frontier:
+                reach = 0
+                for v in _vertices(frontier):
+                    reach |= left[v]
+                frontier = reach & rest & ~part
+                part |= frontier
+            contacts = 0
+            for v in _vertices(part):
+                contacts |= left[v] & embedded
+            fragments.append((contacts, part))
+            rest &= ~part
+        if not fragments:
+            return True
+        masks = [_mask(face) for face in faces]
+        homes = [[i for i, m in enumerate(masks) if c & ~m == 0] for c, _ in fragments]
+        if not all(homes):
+            return False
+        (contacts, part), fits = min(zip(fragments, homes), key=lambda chosen: len(chosen[1]))
+        a = (contacts & -contacts).bit_length() - 1
+        if part:
+            path = [a, *_path(left, _vertices(left[a] & part)[0], part, contacts & ~(1 << a))]
+        else:
+            path = [a, contacts.bit_length() - 1]
+        draw(path)
+        embedded |= _mask(path)
+        face, inner = faces[fits[0]], path[1:-1]
+        start = face.index(a)
+        face = face[start:] + face[:start]
+        end = face.index(path[-1])
+        faces[fits[0]] = face[: end + 1] + inner[::-1]
+        faces.append(face[end:] + [a] + inner)
+
+
+def dmp_planar(g: GcdGraph) -> bool:
+    """Planarity of the simple-edge graph by the face-embedding algorithm of
+    Demoucron, Malgrange and Pertuiset (Rev. Française Rech. Opér. 8, 1964), run
+    on each biconnected block: a graph is planar exactly when its blocks are.
+    Polynomial, so it has no input bound."""
+    adj = _adjacency(g)
+    return all(_block_planar(adj, block) for block in _blocks(adj))
 
 
 def exhaustive_domination(g: GcdGraph) -> int:

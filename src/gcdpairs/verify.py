@@ -617,8 +617,8 @@ def _claim_planarity(limit: int, bounds: SearchBounds) -> Outcome:
     for n in range(2, limit + 1):
         g = _graph(n)
         planar = is_planar(g)
-        if planar != oracle.networkx_planar(g):
-            return Status.FAIL, f"is_planar disagrees with networkx at n={n}", n - 1
+        if planar != oracle.dmp_planar(g):
+            return Status.FAIL, f"is_planar disagrees with the DMP oracle at n={n}", n - 1
         if planar != (n <= 7 and n != 6):
             return Status.FAIL, f"planarity wrong at n={n}", n - 1
         if n >= 3 and g.edge_count() > 3 * n - 6 and planar:

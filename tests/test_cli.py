@@ -762,6 +762,20 @@ def test_analyze_beyond_the_euler_bound_leaves_networkx_unloaded():
     subprocess.run([sys.executable, "-c", check], env=_subprocess_env(), check=True, timeout=60)
 
 
+def test_verify_and_small_analyze_leave_networkx_unloaded():
+    # G_2..G_5 and G_7 reduce to a kernel of <= 5 vertices, and G_6 fails Euler's bound
+    check = (
+        "import contextlib, io, sys\n"
+        "from gcdpairs import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['verify']) == 0\n"
+        "    for n in range(2, 8):\n"
+        "        assert cli.main(['graph', str(n), '--analyze']) == 0\n"
+        "assert 'networkx' not in sys.modules\n"
+    )
+    subprocess.run([sys.executable, "-c", check], env=_subprocess_env(), check=True, timeout=120)
+
+
 def test_closed_pipe_shared_with_stderr_exits_2():
     """stdout and stderr on one pipe: the message about the closed pipe cannot be
     written either, and the exit code is still 2."""

@@ -121,7 +121,7 @@ def test_smallest_prime_factors_by_trial_division(limit):
     expected = [0, 1][: limit + 1] + [
         next(f for f in range(2, m + 1) if m % f == 0) for m in range(2, limit + 1)
     ]
-    assert smallest_prime_factors(limit) == expected
+    assert smallest_prime_factors(limit).tolist() == expected
 
 
 def test_phi_partial_sum_examples():

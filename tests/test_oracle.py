@@ -15,6 +15,7 @@ from gcdpairs.graph import (
     build,
     chromatic_number,
     domination_number,
+    is_planar,
     max_clique,
 )
 from gcdpairs.pairs import (
@@ -234,6 +235,95 @@ def test_small_graphs_have_no_cycles():
     for n in (1, 2, 3):
         cycle, longest = oracle.exhaustive_hamiltonian(build(n))
         assert cycle is None and longest == 0
+
+
+def _networkx_planar(g):
+    import networkx as nx
+
+    graph = nx.Graph()
+    graph.add_nodes_from(range(g.n))
+    graph.add_edges_from(g.simple_edges)
+    return nx.check_planarity(graph)[0]
+
+
+def _assert_planarity_agrees(g):
+    expected = _networkx_planar(g)
+    assert oracle.dmp_planar(g) == expected, sorted(g.simple_edges)
+    assert is_planar(g) == expected, sorted(g.simple_edges)
+    return expected
+
+
+@st.composite
+def _sparse_graphs(draw, max_n):
+    # at most 3n edges, so that planar and non-planar graphs both come up often
+    n = draw(st.integers(0, max_n))
+    pairs = list(combinations(range(n), 2))
+    return _graph(n, draw(st.lists(st.sampled_from(pairs), max_size=3 * n)) if pairs else [])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_graphs(max_n=12), _sparse_graphs(max_n=12)))
+def test_planarity_equals_networkx_on_random_graphs(g):
+    _assert_planarity_agrees(g)
+
+
+def _subdivided(n, edges):
+    # the first edge (a, b) becomes the path a, n, b through a new vertex n
+    (a, b), rest = edges[0], edges[1:]
+    return n + 1, [(a, n), (n, b), *rest]
+
+
+K5 = list(combinations(range(5), 2))
+K33 = [(a, b) for a in range(3) for b in range(3, 6)]
+PETERSEN = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+PETERSEN += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+
+
+def _wheel(k):
+    # hub 0 joined to the rim cycle 1..k-1
+    return k, [(0, v) for v in range(1, k)] + [(v, v % (k - 1) + 1) for v in range(1, k)]
+
+
+GRID = [(r * 5 + c, r * 5 + c + 1) for r in range(4) for c in range(4)]
+GRID += [(r * 5 + c, (r + 1) * 5 + c) for r in range(3) for c in range(5)]
+
+
+@pytest.mark.parametrize(
+    "n, edges, planar",
+    [
+        (5, K5, False),
+        (6, K33, False),
+        (*_subdivided(5, K5), False),
+        (*_subdivided(6, K33), False),
+        (5, K5[1:], True),  # K5 minus an edge
+        (10, PETERSEN, False),
+        (*_wheel(5), True),
+        (*_wheel(6), True),
+        (*_wheel(7), True),
+        (*_wheel(8), True),
+        (20, GRID, True),
+        # K4, a bridge to a triangle, and an isolated vertex; then K3,3 behind a bridge
+        (8, [*combinations(range(4), 2), (3, 4), (4, 5), (5, 6), (4, 6)], True),
+        (10, [*K33, (5, 6), (6, 7), (7, 8), (6, 8)], False),
+        # a degree-2 vertex 5 whose neighbours 0 and 1 are already adjacent
+        (6, [*combinations(range(4), 2), (0, 4), (1, 4), (0, 5), (1, 5)], True),
+        (6, [*K5, (0, 5), (1, 5)], False),
+    ],
+)
+def test_planarity_equals_networkx_on_named_graphs(n, edges, planar):
+    assert _assert_planarity_agrees(_graph(n, edges)) is planar
+
+
+def test_planarity_equals_networkx_on_g_1_to_60():
+    for n in range(1, 61):
+        assert _assert_planarity_agrees(build(n)) == (n <= 7 and n != 6), n
+
+
+def test_dmp_oracle_has_no_recursion_limit():
+    ring = [(v, v + 1) for v in range(4999)] + [(0, 4999), (0, 2500)]
+    assert oracle.dmp_planar(_graph(5000, ring))
+    k5_at_the_end = [(a + 4995, b + 4995) for a, b in K5]
+    assert not oracle.dmp_planar(_graph(5000, ring[:4999] + k5_at_the_end))
 
 
 def test_exhaustive_domination():

@@ -159,8 +159,8 @@ def test_an_outcome_over_no_case_is_noted(monkeypatch, status, cases, reported):
     assert entry.details == ("no case in range" if reported is Status.NOTED else "runner detail")
 
 
-def test_planarity_is_checked_against_networkx(monkeypatch):
-    monkeypatch.setattr(verify, "is_planar", lambda g: oracle.networkx_planar(g) or g.n == 8)
+def test_planarity_is_checked_against_the_dmp_oracle(monkeypatch):
+    monkeypatch.setattr(verify, "is_planar", lambda g: oracle.dmp_planar(g) or g.n == 8)
     (entry,) = run_verification(max_n=8, claims=["planarity-threshold"]).entries
     assert entry.status is Status.FAIL
-    assert entry.details == "is_planar disagrees with networkx at n=8"
+    assert entry.details == "is_planar disagrees with the DMP oracle at n=8"
