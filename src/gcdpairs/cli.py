@@ -12,9 +12,7 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from . import oracle
+from . import np, oracle
 from .graph import SearchBounds, analyze, build
 from .numtheory import divisors, prime_power_decompose
 from .pairs import (
@@ -127,7 +125,11 @@ def _parse_subset(n: int, text: str) -> tuple[str, np.ndarray | None]:
             raise ValueError(f"subset '{text}' needs n >= 2")
         classes = classify_elements(n)
         return text, classes.units if text == "units" else classes.zero_divisors
-    residues = frozenset(int(part) for part in text.split(","))
+    try:
+        residues = frozenset(int(part) for part in text.split(","))
+    except ValueError:
+        forms = "all, units, zero-divisors or a comma list of residues"
+        raise ValueError(f"--subset takes {forms}, got {text!r}") from None
     for x in residues:
         if not 0 <= x < n:
             raise ValueError(f"residue {x} outside [0, {n})")

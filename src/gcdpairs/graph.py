@@ -21,8 +21,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
+from . import np
 from .numtheory import prime_factors, prime_power_decompose, primes_below
 from .pairs import row_masks
 

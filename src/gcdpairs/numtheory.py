@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-import numpy as np
+from . import np
 
 
 def is_prime(n: int) -> bool:

@@ -16,8 +16,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
+from . import np
 from .graph import CliqueWitness, GcdGraph, PathWitness
 
 MAX_CLIQUE_N = 26

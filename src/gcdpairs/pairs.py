@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-import numpy as np
-
+from . import np
 from .numtheory import (
     PrimePower,
     divisors,

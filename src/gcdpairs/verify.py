@@ -22,9 +22,7 @@ from itertools import combinations
 from math import gcd
 from typing import Callable
 
-import numpy as np
-
-from . import oracle
+from . import np, oracle
 from .graph import (
     DEFAULT_BOUNDS,
     GcdGraph,

@@ -10,6 +10,10 @@ import sys
 from functools import lru_cache
 from pathlib import Path
 
+import numpy
+import pytest
+
+import gcdpairs
 from gcdpairs import oracle
 from gcdpairs.cli import main
 from gcdpairs.graph import analyze, build
@@ -78,6 +82,11 @@ def test_list_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "list", "6", "--subset", "9")
     assert code == 2 and "residue 9" in err
+    forms = "all, units, zero-divisors or a comma list of residues"
+    for text in ("0,,1", "", "x"):
+        code, out, err = run(capsys, "list", "5", "--subset", text)
+        assert (code, out) == (2, "")
+        assert err == f"gcdpairs list: --subset takes {forms}, got {text!r}\n"
     code, _, _ = run(capsys, "list", "1", "--subset", "units")
     assert code == 2
 
@@ -746,8 +755,42 @@ def test_closed_pipe_during_json_exits_2_without_traceback():
 
 
 def test_cli_import_leaves_networkx_unloaded():
-    check = "import sys, gcdpairs.cli; assert 'networkx' not in sys.modules"
-    subprocess.run([sys.executable, "-c", check], env=_subprocess_env(), check=True)
+    # check and --help need no array: numpy loads first at list, which must still work
+    check = (
+        "import contextlib, io, sys\n"
+        "import gcdpairs.cli as cli\n"
+        "assert 'networkx' not in sys.modules and 'numpy' not in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    assert cli.main(['check', '6', '-4', '3']) == 0\n"
+        "    assert cli.main(['check', '6', '-4', '3', '--json']) == 0\n"
+        "    assert cli.main(['--help']) == 0\n"
+        "assert out.getvalue().startswith('yes: {2,3} is a gcd-pair in Z_6\\n{')\n"
+        "assert 'numpy' not in sys.modules\n"
+        "assert cli.main(['list', '6']) == 0\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", check], env=_subprocess_env(), capture_output=True, text=True,
+        check=True, timeout=60,
+    ).stdout
+    assert out.splitlines() == NU_6_LINES + ["The number of gcd-pairs is 16"]
+
+
+def test_np_binding_hands_out_numpy_itself():
+    assert gcdpairs.np.ndarray is numpy.ndarray
+    assert gcdpairs.np.int64 is numpy.int64
+    assert gcdpairs.np.zeros is numpy.zeros
+    with pytest.raises(AttributeError):
+        gcdpairs.np.no_such_name
+    assert not hasattr(gcdpairs.np, "no_such_name")
+
+
+def test_package_import_loads_no_submodule():
+    check = (
+        "import sys, gcdpairs\n"
+        "loaded = {'numpy', 'gcdpairs.graph', 'gcdpairs.verify', 'gcdpairs.pairs'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+    )
+    subprocess.run([sys.executable, "-c", check], env=_subprocess_env(), check=True, timeout=60)
 
 
 def test_analyze_beyond_the_euler_bound_leaves_networkx_unloaded():
