@@ -7,7 +7,7 @@ Example:
 
 import argparse
 
-from gcdpairs.graph import SearchBounds, analyze, build
+from gcdpairs.graph import analyze, build
 from gcdpairs.pairs import classify_elements, count_pairs
 
 
@@ -17,14 +17,13 @@ def main() -> None:
     parser.add_argument("--stop", type=int, default=30)
     args = parser.parse_args()
 
-    bounds = SearchBounds.from_env()
     header = f"{'n':>4} {'pairs':>7} {'zd-pairs':>8} {'edges':>6} {'omega':>5} {'chi':>4} {'ham':>4} {'planar':>6}"
     print(header)
     print("-" * len(header))
     for n in range(max(args.start, 2), args.stop + 1):
         pairs, zd_pairs = count_pairs(n, classify_elements(n).zero_divisors)
         g = build(n)
-        invariants, _ = analyze(g, bounds)
+        invariants, _ = analyze(g)
         omega = invariants["clique_number"]
         chi = invariants["chromatic_number"]
         print(

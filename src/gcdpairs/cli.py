@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import np, oracle
-from .graph import SearchBounds, analyze, build
+from .graph import MAX_CHROMATIC_EXACT_N, MAX_CLIQUE_EXACT_N, analyze, build
 from .numtheory import divisors, prime_power_decompose
 from .pairs import (
     CountResult,
@@ -46,8 +46,7 @@ ROW_WALK_MAX_N = 10_000_000
 ANALYZE_MAX_N = 20_000
 
 _EPILOG = f"""\
-exact-search bounds (override all with GCDPAIRS_MAX_EXACT=<n>, n >= 1):
-  maximum clique {SearchBounds().clique_exact}, chromatic number {SearchBounds().chromatic_exact}
+exact-search bounds (fixed): maximum clique {MAX_CLIQUE_EXACT_N}, chromatic number {MAX_CHROMATIC_EXACT_N}
 oracle bounds (fixed): exhaustive clique {oracle.MAX_CLIQUE_N}, chromatic {oracle.MAX_CHROMATIC_N}, \
 cycles {oracle.MAX_CYCLE_N}, domination {oracle.MAX_DOMINATION_N}
 count formula bound (fixed): n <= {FORMULA_MAX_N} for --method formula and both
@@ -59,7 +58,10 @@ exit codes: 0 ok / 1 not a gcd-pair / 2 usage / 3 verification failure
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a modulus >= 1, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a modulus >= 1, got {value}")
     return value
@@ -320,12 +322,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
     invariants: dict | None = None
     notes: list[str] = []
     if args.analyze:
-        try:
-            bounds = SearchBounds.from_env()
-        except ValueError as exc:
-            print(f"gcdpairs graph: {exc}", file=sys.stderr)
-            return 2
-        invariants, notes = analyze(build(args.n), bounds)
+        invariants, notes = analyze(build(args.n))
     loops = divisors(args.n)[:-1]  # the a < n with gcd(a, a) = a dividing n
     if args.dot == "-":
         _write_dot(sys.stdout, args.n, loops)
@@ -365,15 +362,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.max_n is not None and args.max_n < 2:
         print(f"gcdpairs verify: --max-n must be >= 2, got {args.max_n}", file=sys.stderr)
         return 2
-    try:
-        bounds = SearchBounds.from_env()
-    except ValueError as exc:
-        print(f"gcdpairs verify: {exc}", file=sys.stderr)
-        return 2
     claim_filter = None
     if args.claims is not None:
         claim_filter = [part.strip() for part in args.claims.split(",") if part.strip()]
-    report = run_verification(max_n=args.max_n, claims=claim_filter, bounds=bounds)
+    report = run_verification(max_n=args.max_n, claims=claim_filter)
     if not report.entries:
         print("gcdpairs verify: no claims match the filter", file=sys.stderr)
         return 2

@@ -11,13 +11,12 @@ the vertices of degree <= 2 to a kernel, which is planar unless it is K5 when
 it has at most 5 vertices. Every G_n ends there, so networkx is imported only
 for a kernel of >= 6 vertices within Euler's bound.
 
-Exact searches (maximum clique, chromatic number) carry configurable input
+Exact searches (maximum clique, chromatic number) carry fixed input
 bounds and raise ExactSearchBoundError beyond them rather than approximating.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -25,37 +24,13 @@ from . import np
 from .numtheory import prime_factors, prime_power_decompose, primes_below
 from .pairs import row_masks
 
-ENV_MAX_EXACT = "GCDPAIRS_MAX_EXACT"
-
-
-@dataclass(frozen=True)
-class SearchBounds:
-    """Largest n each exact search accepts before raising."""
-
-    clique_exact: int = 64
-    chromatic_exact: int = 16
-
-    @classmethod
-    def from_env(cls) -> "SearchBounds":
-        """Both bounds from GCDPAIRS_MAX_EXACT; ValueError unless it is an
-        integer >= 1."""
-        raw = os.environ.get(ENV_MAX_EXACT)
-        if raw is None:
-            return cls()
-        try:
-            limit = int(raw)
-        except ValueError:
-            limit = 0
-        if limit < 1:
-            raise ValueError(f"{ENV_MAX_EXACT} must be an integer >= 1, got {raw!r}")
-        return cls(clique_exact=limit, chromatic_exact=limit)
-
-
-DEFAULT_BOUNDS = SearchBounds()
+# Largest n each exact search accepts before raising.
+MAX_CLIQUE_EXACT_N = 64
+MAX_CHROMATIC_EXACT_N = 16
 
 
 class ExactSearchBoundError(ValueError):
-    """An exact search was asked to exceed its configured input bound."""
+    """An exact search was asked to exceed its fixed input bound."""
 
 
 @dataclass(frozen=True)
@@ -276,12 +251,12 @@ def _first_max_clique(g: GcdGraph) -> int:
     return best_clique
 
 
-def max_clique(g: GcdGraph, bounds: SearchBounds = DEFAULT_BOUNDS) -> CliqueWitness:
+def max_clique(g: GcdGraph) -> CliqueWitness:
     """Exact maximum clique, certified by branch and bound; the witness is the
     lexicographically smallest maximum clique."""
-    if g.n > bounds.clique_exact:
+    if g.n > MAX_CLIQUE_EXACT_N:
         raise ExactSearchBoundError(
-            f"max_clique bounded at n <= {bounds.clique_exact}, got {g.n}"
+            f"max_clique bounded at n <= {MAX_CLIQUE_EXACT_N}, got {g.n}"
         )
     vertices = frozenset(_bits(_first_max_clique(g)))
     return CliqueWitness(vertices=vertices, maximal=True, maximum=True)
@@ -347,12 +322,12 @@ def greedy_coloring(g: GcdGraph, order: Iterable[int] | None = None) -> Coloring
     return ColoringWitness(colors=colors, color_count=len(classes), exact=False)
 
 
-def chromatic_number(g: GcdGraph, bounds: SearchBounds = DEFAULT_BOUNDS) -> ColoringWitness:
+def chromatic_number(g: GcdGraph) -> ColoringWitness:
     """Exact chromatic number (loops ignored) by backtracking between the
     max-clique lower bound and the greedy upper bound."""
-    if g.n > bounds.chromatic_exact:
+    if g.n > MAX_CHROMATIC_EXACT_N:
         raise ExactSearchBoundError(
-            f"chromatic_number bounded at n <= {bounds.chromatic_exact}, got {g.n}"
+            f"chromatic_number bounded at n <= {MAX_CHROMATIC_EXACT_N}, got {g.n}"
         )
     if g.n == 0:
         return ColoringWitness(colors={}, color_count=0, exact=True)
@@ -439,9 +414,9 @@ def is_planar(g: GcdGraph) -> bool:
     return planar
 
 
-def analyze(g: GcdGraph, bounds: SearchBounds = DEFAULT_BOUNDS) -> tuple[dict, list[str]]:
+def analyze(g: GcdGraph) -> tuple[dict, list[str]]:
     """Invariant summary for the CLI's graph report; exact fields outside the
-    configured bounds come back None with an explanatory note."""
+    search bounds come back None with an explanatory note."""
     notes: list[str] = []
     if g.n == 1:
         invariants = {
@@ -456,20 +431,20 @@ def analyze(g: GcdGraph, bounds: SearchBounds = DEFAULT_BOUNDS) -> tuple[dict, l
         }
         return invariants, notes
     clique_number: int | None = None
-    if g.n <= bounds.clique_exact:
-        clique_number = len(max_clique(g, bounds).vertices)
+    if g.n <= MAX_CLIQUE_EXACT_N:
+        clique_number = len(max_clique(g).vertices)
     else:
         notes.append(
-            f"clique_number: exact search skipped (n > {bounds.clique_exact}); "
+            f"clique_number: exact search skipped (n > {MAX_CLIQUE_EXACT_N}); "
             f"construction gives a maximal clique of order "
             f"{len(clique_construction(g).vertices)}"
         )
     chromatic: int | None = None
-    if g.n <= bounds.chromatic_exact:
-        chromatic = chromatic_number(g, bounds).color_count
+    if g.n <= MAX_CHROMATIC_EXACT_N:
+        chromatic = chromatic_number(g).color_count
     else:
         notes.append(
-            f"chromatic_number: exact search skipped (n > {bounds.chromatic_exact}); "
+            f"chromatic_number: exact search skipped (n > {MAX_CHROMATIC_EXACT_N}); "
             f"greedy upper bound = {greedy_coloring(g).color_count}"
         )
     invariants = {

@@ -24,9 +24,7 @@ from typing import Callable
 
 from . import np, oracle
 from .graph import (
-    DEFAULT_BOUNDS,
     GcdGraph,
-    SearchBounds,
     build,
     chromatic_number,
     clique_construction,
@@ -121,7 +119,7 @@ class VerificationReport:
 
 
 Outcome = tuple[Status, str, int]  # status, details, cases checked (n - 1 over 2..n)
-Runner = Callable[[int, SearchBounds], Outcome]
+Runner = Callable[[int], Outcome]
 
 
 @dataclass(frozen=True)
@@ -131,7 +129,6 @@ class ClaimSpec:
     default_limit: int
     runner: Runner
     range_label: Callable[..., str]  # called as range_label(limit=...)
-    capped_by: str | None = None  # the SearchBounds field that also caps the limit
 
 
 CLAIMS: list[ClaimSpec] = []
@@ -142,15 +139,13 @@ def _claim(
     statement: str,
     default_limit: int,
     range_label: str | Callable[..., str] = "n <= {limit}",
-    capped_by: str | None = None,
 ) -> Callable[[Runner], Runner]:
     """Register the decorated runner in CLAIMS; definition order is report order.
-    range_label renders a limit as a template over {limit} or as a function;
-    capped_by names the SearchBounds field of the exact search run on each n."""
+    range_label renders a limit as a template over {limit} or as a function."""
 
     def register(runner: Runner) -> Runner:
         label = range_label if callable(range_label) else range_label.format
-        CLAIMS.append(ClaimSpec(claim_id, statement, default_limit, runner, label, capped_by))
+        CLAIMS.append(ClaimSpec(claim_id, statement, default_limit, runner, label))
         return runner
 
     return register
@@ -193,7 +188,7 @@ def _ring_pair(n: int, a: int, b: int) -> bool:
 
 
 @_claim("pair-when-divisor", "if a divides n then {a, b} is a gcd-pair for every b", 200)
-def _claim_pair_when_divisor(limit: int, bounds: SearchBounds) -> Outcome:
+def _claim_pair_when_divisor(limit: int) -> Outcome:
     checked = 0
     for n in range(1, limit + 1):
         for a in divisors(n):
@@ -209,7 +204,7 @@ def _claim_pair_when_divisor(limit: int, bounds: SearchBounds) -> Outcome:
 
 
 @_claim("unit-pairs-coprime", "a gcd-pair containing a unit has coprime members", 200)
-def _claim_unit_pairs_coprime(limit: int, bounds: SearchBounds) -> Outcome:
+def _claim_unit_pairs_coprime(limit: int) -> Outcome:
     checked = 0
     for n in range(2, limit + 1):
         units = classify_elements(n).units
@@ -237,7 +232,7 @@ def _prime_powers_upto(limit: int) -> list[PrimePower]:
     500,
     "p^k <= {limit}",
 )
-def _claim_prime_power_count(limit: int, bounds: SearchBounds) -> Outcome:
+def _claim_prime_power_count(limit: int) -> Outcome:
     pps = _prime_powers_upto(limit)
     for checked, pp in enumerate(pps, 1):
         expected = count_prime_power_formula(pp).value
@@ -254,7 +249,7 @@ def _claim_prime_power_count(limit: int, bounds: SearchBounds) -> Outcome:
     500,
     "composite n <= {limit}",
 )
-def _claim_composite_bound(limit: int, bounds: SearchBounds) -> Outcome:
+def _claim_composite_bound(limit: int) -> Outcome:
     phi_sum = summatory_totient(limit)
     checked = 0
     for n in range(4, limit + 1):
@@ -269,7 +264,7 @@ def _claim_composite_bound(limit: int, bounds: SearchBounds) -> Outcome:
 
 
 @_claim("zero-divisor-partition", "the cells S'_d partition the zero divisors", 500)
-def _claim_partition(limit: int, bounds: SearchBounds) -> Outcome:
+def _claim_partition(limit: int) -> Outcome:
     for n in range(2, limit + 1):
         cells = zero_divisor_partition(n).cells.values()
         union = set().union(*cells)
@@ -285,7 +280,7 @@ def _claim_partition(limit: int, bounds: SearchBounds) -> Outcome:
     "zero-divisor pairs dominate the sum of unit-restricted counts over divisors",
     500,
 )
-def _claim_cell_sum_bound(limit: int, bounds: SearchBounds) -> Outcome:
+def _claim_cell_sum_bound(limit: int) -> Outcome:
     table = _table(limit)
     for n in range(2, limit + 1):
         lhs = _zero_divisor_pairs(table, n)
@@ -306,7 +301,7 @@ def _claim_cell_sum_bound(limit: int, bounds: SearchBounds) -> Outcome:
     500,
     "pq <= {limit}",
 )
-def _claim_semiprime_bound(limit: int, bounds: SearchBounds) -> Outcome:
+def _claim_semiprime_bound(limit: int) -> Outcome:
     sample = ""
     checked = 0
     for p in primes_below(limit):
@@ -342,7 +337,7 @@ def _closed_forms_exact(limit: int, moduli: list[int], confirmed: str) -> Outcom
     500,
     "2p <= {limit}",
 )
-def _claim_double_prime(limit: int, bounds: SearchBounds) -> Outcome:
+def _claim_double_prime(limit: int) -> Outcome:
     moduli = [2 * p for p in primes_below(limit // 2 + 1) if p != 2]
     return _closed_forms_exact(limit, moduli, "{} values exact")
 
@@ -353,7 +348,7 @@ def _claim_double_prime(limit: int, bounds: SearchBounds) -> Outcome:
     500,
     "3p <= {limit}",
 )
-def _claim_triple_prime(limit: int, bounds: SearchBounds) -> Outcome:
+def _claim_triple_prime(limit: int) -> Outcome:
     moduli = [3 * p for p in primes_below(limit // 3 + 1) if p != 3]
     return _closed_forms_exact(limit, moduli, "{} values exact")
 
@@ -364,7 +359,7 @@ def _claim_triple_prime(limit: int, bounds: SearchBounds) -> Outcome:
     500,
     "p^k <= {limit}",
 )
-def _claim_prime_power_zero_divisors(limit: int, bounds: SearchBounds) -> Outcome:
+def _claim_prime_power_zero_divisors(limit: int) -> Outcome:
     moduli = [pp.value for pp in _prime_powers_upto(limit)]
     return _closed_forms_exact(limit, moduli, "{} prime powers exact (primes give 0)")
 
@@ -378,7 +373,7 @@ def _claim_prime_power_zero_divisors(limit: int, bounds: SearchBounds) -> Outcom
     200,
     "m|n <= {limit}",
 )
-def _claim_embedding(limit: int, bounds: SearchBounds) -> Outcome:
+def _claim_embedding(limit: int) -> Outcome:
     checked = 0
     for n in range(1, limit + 1):
         for m in divisors(n):
@@ -391,7 +386,7 @@ def _claim_embedding(limit: int, bounds: SearchBounds) -> Outcome:
 
 
 @_claim("star-subgraph", "a maximal star of order n centers at vertex 1", 200)
-def _claim_star(limit: int, bounds: SearchBounds) -> Outcome:
+def _claim_star(limit: int) -> Outcome:
     for n in range(2, limit + 1):
         w = star_subgraph(_graph(n))  # raises if any spoke is missing
         if w.center != 1 or len(w.leaves) != n - 1:
@@ -400,7 +395,7 @@ def _claim_star(limit: int, bounds: SearchBounds) -> Outcome:
 
 
 @_claim("domination-number", "the domination number is 1", 200)
-def _claim_domination(limit: int, bounds: SearchBounds) -> Outcome:
+def _claim_domination(limit: int) -> Outcome:
     for n in range(2, limit + 1):
         gamma, witness = domination_number(_graph(n))
         if gamma != 1 or witness != frozenset({1}):
@@ -411,7 +406,7 @@ def _claim_domination(limit: int, bounds: SearchBounds) -> Outcome:
 
 
 @_claim("connectivity", "G_n is connected", 200)
-def _claim_connectivity(limit: int, bounds: SearchBounds) -> Outcome:
+def _claim_connectivity(limit: int) -> Outcome:
     for n in range(1, limit + 1):
         if not is_connected(_graph(n)):
             return Status.FAIL, f"G_{n} not connected", n
@@ -419,7 +414,7 @@ def _claim_connectivity(limit: int, bounds: SearchBounds) -> Outcome:
 
 
 @_claim("triangle-threshold", "triangles exist exactly for n >= 4", 200)
-def _claim_triangles(limit: int, bounds: SearchBounds) -> Outcome:
+def _claim_triangles(limit: int) -> Outcome:
     for n in range(1, limit + 1):
         g = _graph(n)
         present = has_triangle(g) is not None
@@ -436,7 +431,7 @@ def _claim_triangles(limit: int, bounds: SearchBounds) -> Outcome:
 
 
 @_claim("traceable", "(0, 1, ..., n-1) is a Hamiltonian path", 200)
-def _claim_traceable(limit: int, bounds: SearchBounds) -> Outcome:
+def _claim_traceable(limit: int) -> Outcome:
     for n in range(2, limit + 1):
         hamiltonian_path(_graph(n))  # validates (0, 1, ..., n-1) edge by edge
     return Status.PASS, "canonical path (0,...,n-1) valid in every graph", limit - 1
@@ -448,7 +443,7 @@ def _claim_traceable(limit: int, bounds: SearchBounds) -> Outcome:
     200,
     "even n <= {limit}",
 )
-def _claim_hamiltonian_even(limit: int, bounds: SearchBounds) -> Outcome:
+def _claim_hamiltonian_even(limit: int) -> Outcome:
     moduli = range(4, limit + 1, 2)
     for checked, n in enumerate(moduli, 1):
         res = hamiltonian_cycle(_graph(n))
@@ -468,7 +463,7 @@ def _claim_hamiltonian_even(limit: int, bounds: SearchBounds) -> Outcome:
     15,
     "odd 5 <= n <= {limit}",
 )
-def _claim_longest_cycle_odd(limit: int, bounds: SearchBounds) -> Outcome:
+def _claim_longest_cycle_odd(limit: int) -> Outcome:
     moduli = range(5, limit + 1, 2)
     for checked, n in enumerate(moduli, 1):
         g = _graph(n)
@@ -504,9 +499,9 @@ def _is_ring_clique(n: int, vertices: list[int]) -> bool:
 
 
 @cache
-def _observed_omega(n: int, bounds: SearchBounds) -> int:
+def _observed_omega(n: int) -> int:
     g = _graph(n)
-    size = len(max_clique(g, bounds).vertices)
+    size = len(max_clique(g).vertices)
     if n <= oracle.MAX_CLIQUE_N and len(oracle.exhaustive_max_clique(g).vertices) != size:
         raise AssertionError(f"clique search disagrees with oracle at n={n}")
     return size
@@ -517,9 +512,8 @@ def _observed_omega(n: int, bounds: SearchBounds) -> int:
     "n = pq: a maximal clique of order m+k+2 (suspect for q > p^2)",
     33,
     lambda limit: f"n in {_two_prime_products(limit)}",
-    capped_by="clique_exact",
 )
-def _claim_clique_two_prime(limit: int, bounds: SearchBounds) -> Outcome:
+def _claim_clique_two_prime(limit: int) -> Outcome:
     tested = _two_prime_products(limit)
     rows = []
     bad = False
@@ -531,7 +525,7 @@ def _claim_clique_two_prime(limit: int, bounds: SearchBounds) -> Outcome:
         maximal = valid and not any(
             _is_ring_clique(n, claimed_set + [v]) for v in range(n) if v not in claimed_set
         )
-        observed = _observed_omega(n, bounds)
+        observed = _observed_omega(n)
         constructed = len(clique_construction(_graph(n)).vertices)
         if valid and maximal and len(claimed_set) == claimed and observed >= claimed:
             rows.append(f"n={n}: maximal order {claimed} confirmed")
@@ -559,9 +553,8 @@ def _prime_power_clique_order(pp: PrimePower) -> int:
     "n = p^k: a maximal clique of order m+k (k+1 when n = 2)",
     40,
     "p^k <= {limit}",
-    capped_by="clique_exact",
 )
-def _claim_clique_prime_power(limit: int, bounds: SearchBounds) -> Outcome:
+def _claim_clique_prime_power(limit: int) -> Outcome:
     pps = _prime_powers_upto(limit)
     for checked, pp in enumerate(pps, 1):
         n = pp.value
@@ -573,7 +566,7 @@ def _claim_clique_prime_power(limit: int, bounds: SearchBounds) -> Outcome:
                 f"!= {expected} at n={n}"
             )
             return Status.FAIL, detail, checked
-        if _observed_omega(n, bounds) < expected:
+        if _observed_omega(n) < expected:
             return Status.FAIL, f"maximum clique below {expected} at n={n}", checked
     return Status.PASS, f"{len(pps)} prime powers give maximal order m+k", len(pps)
 
@@ -582,14 +575,13 @@ def _claim_clique_prime_power(limit: int, bounds: SearchBounds) -> Outcome:
     "clique-prime-count",
     "1 together with the primes below n is a clique of order m+1",
     40,
-    capped_by="clique_exact",
 )
-def _claim_clique_prime_count(limit: int, bounds: SearchBounds) -> Outcome:
+def _claim_clique_prime_count(limit: int) -> Outcome:
     for n in range(2, limit + 1):
         base = [1, *primes_below(n)]
         if not _is_ring_clique(n, base):
             return Status.FAIL, f"1 + primes not a clique at n={n}", n - 1
-        if _observed_omega(n, bounds) < len(base):
+        if _observed_omega(n) < len(base):
             return Status.FAIL, f"maximum clique below {len(base)} at n={n}", n - 1
     return Status.PASS, "clique on 1 and the primes below n everywhere", limit - 1
 
@@ -603,7 +595,7 @@ def _has_k5(n: int) -> bool:
 
 
 @_claim("k5-threshold", "a K5 subgraph exists exactly for n >= 6, n != 7", 60)
-def _claim_k5(limit: int, bounds: SearchBounds) -> Outcome:
+def _claim_k5(limit: int) -> Outcome:
     for n in range(2, limit + 1):
         if _has_k5(n) != (n >= 6 and n != 7):
             return Status.FAIL, f"K5 presence wrong at n={n}", n - 1
@@ -611,7 +603,7 @@ def _claim_k5(limit: int, bounds: SearchBounds) -> Outcome:
 
 
 @_claim("planarity-threshold", "G_n is planar exactly for n <= 7, n != 6", 30)
-def _claim_planarity(limit: int, bounds: SearchBounds) -> Outcome:
+def _claim_planarity(limit: int) -> Outcome:
     for n in range(2, limit + 1):
         g = _graph(n)
         planar = is_planar(g)
@@ -634,13 +626,12 @@ _SMALL_CHROMATIC = {2: 2, 3: 2, 4: 3, 5: 3, 6: 5, 7: 4}
     "chromatic numbers of G_2..G_7 are 2, 2, 3, 3, 5, 4",
     7,
     "2 <= n <= {limit}",
-    capped_by="chromatic_exact",
 )
-def _claim_chromatic_small(limit: int, bounds: SearchBounds) -> Outcome:
+def _claim_chromatic_small(limit: int) -> Outcome:
     tested = {n: expected for n, expected in _SMALL_CHROMATIC.items() if n <= limit}
     for checked, (n, expected) in enumerate(tested.items(), 1):
         g = _graph(n)
-        exact = chromatic_number(g, bounds).color_count
+        exact = chromatic_number(g).color_count
         if exact != expected:
             return Status.FAIL, f"chromatic {exact} != {expected} at n={n}", checked
         if oracle.exhaustive_chromatic(g) != expected:
@@ -652,18 +643,17 @@ def _claim_chromatic_small(limit: int, bounds: SearchBounds) -> Outcome:
 @_claim(
     "chromatic-two-prime-bound",
     "n = pq: chromatic number >= m+k+2 (inherits the suspect clique order)",
-    33,
+    16,
     lambda limit: f"n in {_two_prime_products(limit)}",
-    capped_by="chromatic_exact",
 )
-def _claim_chromatic_two_prime(limit: int, bounds: SearchBounds) -> Outcome:
+def _claim_chromatic_two_prime(limit: int) -> Outcome:
     tested = _two_prime_products(limit)
     rows = []
     bad = False
     for n in tested:
         _, _, m, k = _two_prime_parameters(n)
         claimed = m + k + 2
-        actual = chromatic_number(_graph(n), bounds).color_count
+        actual = chromatic_number(_graph(n)).color_count
         if actual >= claimed:
             rows.append(f"n={n}: chromatic {actual} >= {claimed}")
         else:
@@ -677,14 +667,13 @@ def _claim_chromatic_two_prime(limit: int, bounds: SearchBounds) -> Outcome:
     "chromatic-prime-bounds",
     "chromatic number >= m+k for n = p^k and >= m+1 in general",
     16,
-    capped_by="chromatic_exact",
 )
-def _claim_chromatic_prime_bounds(limit: int, bounds: SearchBounds) -> Outcome:
+def _claim_chromatic_prime_bounds(limit: int) -> Outcome:
     for n in range(2, limit + 1):
         pp = prime_power_decompose(n)
         if pp is not None:
             bound = _prime_power_clique_order(pp)
-            actual = chromatic_number(_graph(n), bounds).color_count
+            actual = chromatic_number(_graph(n)).color_count
             if actual < bound:
                 return Status.FAIL, f"chromatic {actual} below m+k={bound} at n={n}", n - 1
         if n <= oracle.MAX_CHROMATIC_N:
@@ -699,7 +688,7 @@ def _claim_chromatic_prime_bounds(limit: int, bounds: SearchBounds) -> Outcome:
 
 
 @_claim("errata-zero-divisors-mod-8", "documented typo: the zero divisors of Z_8", 8, "n = 8")
-def _claim_errata_z8(limit: int, bounds: SearchBounds) -> Outcome:
+def _claim_errata_z8(limit: int) -> Outcome:
     actual = np.flatnonzero(classify_elements(8).zero_divisors).tolist()
     if actual != [2, 4, 6]:
         return Status.FAIL, f"zero divisors of Z_8 computed as {actual}", 1
@@ -712,7 +701,7 @@ def _claim_errata_z8(limit: int, bounds: SearchBounds) -> Outcome:
 
 
 @_claim("errata-units-mod-9", "documented typo: the units of Z_9", 9, "n = 9")
-def _claim_errata_u9(limit: int, bounds: SearchBounds) -> Outcome:
+def _claim_errata_u9(limit: int) -> Outcome:
     actual = np.flatnonzero(classify_elements(9).units).tolist()
     if actual != [1, 2, 4, 5, 7, 8]:
         return Status.FAIL, f"units of Z_9 computed as {actual}", 1
@@ -724,7 +713,7 @@ def _claim_errata_u9(limit: int, bounds: SearchBounds) -> Outcome:
 
 
 @_claim("errata-odd-cycle-small", "edge case: the odd maximal-cycle claim at n = 3", 3, "n = 3")
-def _claim_errata_n3_cycle(limit: int, bounds: SearchBounds) -> Outcome:
+def _claim_errata_n3_cycle(limit: int) -> Outcome:
     _, longest = oracle.exhaustive_hamiltonian(_graph(3))
     if longest != 0:
         return Status.FAIL, f"G_3 unexpectedly contains a cycle of order {longest}", 1
@@ -739,11 +728,10 @@ def _claim_errata_n3_cycle(limit: int, bounds: SearchBounds) -> Outcome:
 def run_verification(
     max_n: int | None = None,
     claims: list[str] | None = None,
-    bounds: SearchBounds = DEFAULT_BOUNDS,
 ) -> VerificationReport:
     """Run every claim, or with `claims` only those whose id contains one of its
-    substrings (an empty list selects none), up to the least of its default
-    limit, max_n and the search bound capping it. A PASS or DISCREPANCY over no
+    substrings (an empty list selects none), up to the lesser of its default
+    limit and max_n. A PASS or DISCREPANCY over no
     case checked nothing, so it is reported as NOTED."""
     if max_n is not None and max_n < 2:
         raise ValueError(f"max_n must be >= 2, got {max_n}")
@@ -754,9 +742,7 @@ def run_verification(
         limit = spec.default_limit
         if max_n is not None:
             limit = min(limit, max_n)
-        if spec.capped_by is not None:
-            limit = min(limit, getattr(bounds, spec.capped_by))
-        status, details, cases = spec.runner(limit, bounds)
+        status, details, cases = spec.runner(limit)
         if cases == 0 and status in (Status.PASS, Status.DISCREPANCY):
             status, details = Status.NOTED, "no case in range"
         label = spec.range_label(limit=limit)

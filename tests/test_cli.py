@@ -4,7 +4,6 @@ import hashlib
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 from functools import lru_cache
@@ -523,16 +522,6 @@ def test_count_formula_at_ten_million_in_flat_memory(capsys):
     assert code == 0 and peak_kib < 60 * 1024, peak_kib
 
 
-def test_env_var_overrides_exact_bounds(monkeypatch, capsys):
-    monkeypatch.setenv("GCDPAIRS_MAX_EXACT", "4")
-    code, out, _ = run(capsys, "graph", "6", "--analyze", "--json")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["invariants"]["clique_number"] is None
-    assert payload["invariants"]["chromatic_number"] is None
-    assert any("clique_number" in note for note in payload["notes"])
-
-
 def test_outputs_are_deterministic(capsys):
     first = run(capsys, "graph", "9", "--analyze", "--json")
     second = run(capsys, "graph", "9", "--analyze", "--json")
@@ -688,26 +677,21 @@ def test_verify_entries_that_check_nothing_are_noted(capsys):
     assert [e["status"] for e in entries] == ["noted", "noted"]
 
 
-def test_bad_max_exact_is_a_usage_error(monkeypatch, capsys):
-    for raw in ("abc", "0", "-3"):
+def test_gcdpairs_max_exact_is_ignored(monkeypatch, capsys):
+    # the exact-search bounds are fixed: the variable that once set them changes nothing
+    argvs = (("graph", "6", "--analyze", "--json"), ("verify", "--claims", "errata"))
+    expected = [run(capsys, *argv)[:2] for argv in argvs]
+    for raw in ("4", "abc"):
         monkeypatch.setenv("GCDPAIRS_MAX_EXACT", raw)
-        for argv in (("graph", "6", "--analyze"), ("verify", "--claims", "errata")):
-            code, out, err = run(capsys, *argv)
-            assert code == 2 and out == "", (raw, argv)
-            assert err.count("\n") == 1 and f"GCDPAIRS_MAX_EXACT must be an integer >= 1, got {raw!r}" in err
-        code, _, _ = run(capsys, "graph", "6")  # the bounds are read only under --analyze
-        assert code == 0
+        assert [run(capsys, *argv)[:2] for argv in argvs] == expected, raw
 
 
-def test_verify_caps_exact_searches_at_the_env_bound(monkeypatch, capsys):
-    for bound in (1, 5, 20):
-        monkeypatch.setenv("GCDPAIRS_MAX_EXACT", str(bound))
-        code, out, err = run(capsys, "verify", "--json")
-        assert code == 0 and err == "", bound
-        for e in json.loads(out)["entries"]:
-            if e["claim"].startswith(("clique-", "chromatic-")):
-                numbers = re.findall(r"\d+", e["range"])  # "n <= 5", "n in [6, 10]", "n in []"
-                assert not numbers or int(numbers[-1]) <= bound, (bound, e["claim"], e["range"])
+def test_a_modulus_that_is_not_a_positive_integer_is_a_usage_error(capsys):
+    for command, rest in (("list", ()), ("check", ("2", "3")), ("count", ()), ("graph", ())):
+        for raw in ("x", "0"):
+            code, out, err = run(capsys, command, raw, *rest)
+            assert code == 2 and out == "", (command, raw)
+            assert "expected a modulus >= 1" in err and "_positive_int" not in err, (command, raw)
 
 
 def test_verify_rejects_a_range_that_checks_nothing(capsys):
@@ -898,12 +882,10 @@ def test_list_of_no_zero_divisors_stays_small(tmp_path):
 
 
 def test_invariant_table_output_digest():
-    # the script reads GCDPAIRS_MAX_EXACT; the digest is for the default search bounds
-    env = {k: v for k, v in _subprocess_env().items() if k != "GCDPAIRS_MAX_EXACT"}
     script = Path(__file__).resolve().parents[1] / "scripts" / "invariant_table.py"
     out = subprocess.run(
         [sys.executable, str(script), "--start", "2", "--stop", "30"],
-        env=env, capture_output=True, check=True, timeout=120,
+        env=_subprocess_env(), capture_output=True, check=True, timeout=120,
     ).stdout
     assert hashlib.sha256(out).hexdigest() == (
         "c77016c275b796c95865dbc326dc2fc087d0cdd0e9696b8aa99e2132f21461db"

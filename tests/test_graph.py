@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from gcdpairs.graph import (
     ExactSearchBoundError,
     GcdGraph,
-    SearchBounds,
     analyze,
     build,
     chromatic_number,
@@ -195,9 +194,6 @@ def test_max_clique_examples():
 def test_max_clique_bound_error():
     with pytest.raises(ExactSearchBoundError):
         max_clique(build(65))
-    tight = SearchBounds(clique_exact=10, chromatic_exact=10)
-    with pytest.raises(ExactSearchBoundError):
-        max_clique(build(11), tight)
 
 
 def test_max_clique_is_lexicographically_smallest():

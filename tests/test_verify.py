@@ -3,6 +3,7 @@
 import pytest
 
 from gcdpairs import oracle, verify
+from gcdpairs.graph import MAX_CHROMATIC_EXACT_N, MAX_CLIQUE_EXACT_N
 from gcdpairs.verify import CLAIMS, ClaimSpec, Status, run_verification
 
 EXPECTED_CLAIM_IDS = [
@@ -145,18 +146,28 @@ def test_a_wrong_table_gcd_fails_the_counting_claims(monkeypatch):
 def test_an_outcome_over_no_case_is_noted(monkeypatch, status, cases, reported):
     seen = []
 
-    def runner(limit, bounds):
+    def runner(limit):
         seen.append(limit)
         return status, "runner detail", cases
 
-    fake = ClaimSpec("fake-claim", "stub", 7, runner, "p^k <= {limit}".format, "chromatic_exact")
+    fake = ClaimSpec("fake-claim", "stub", 7, runner, "p^k <= {limit}".format)
     monkeypatch.setattr(verify, "CLAIMS", [fake])
-    bounds = verify.SearchBounds(clique_exact=1, chromatic_exact=5)
-    (entry,) = run_verification(max_n=6, bounds=bounds).entries
-    assert seen == [5]  # the least of the default limit, max_n and the capping bound
-    assert entry.range_tested == "p^k <= 5"
-    assert entry.status is reported
-    assert entry.details == ("no case in range" if reported is Status.NOTED else "runner detail")
+    for max_n, limit in ((5, 5), (9, 7)):  # the lesser of the default limit and max_n
+        seen.clear()
+        (entry,) = run_verification(max_n=max_n).entries
+        assert seen == [limit]
+        assert entry.range_tested == f"p^k <= {limit}"
+        assert entry.status is reported
+        assert entry.details == ("no case in range" if reported is Status.NOTED else "runner detail")
+
+
+def test_exact_search_claims_stay_within_the_search_bounds():
+    # verify never asks an exact search past its bound, even without --max-n
+    for prefix, bound in (("clique-", MAX_CLIQUE_EXACT_N), ("chromatic-", MAX_CHROMATIC_EXACT_N)):
+        specs = [spec for spec in CLAIMS if spec.claim_id.startswith(prefix)]
+        assert len(specs) == 3
+        for spec in specs:
+            assert spec.default_limit <= bound, spec.claim_id
 
 
 def test_planarity_is_checked_against_the_dmp_oracle(monkeypatch):
