@@ -7,12 +7,11 @@ loops. All witness-returning searches break ties lexicographically so outputs
 are deterministic and golden-testable.
 
 Planarity is decided on the masks: Euler's edge bound, then a reduction of
-the vertices of degree <= 2 to a kernel, which is planar unless it is K5 when
-it has at most 5 vertices. Every G_n ends there, so networkx is imported only
-for a kernel of >= 6 vertices within Euler's bound.
+the vertices of degree <= 2 to a kernel, planar unless it is K5 when it has at
+most 5 vertices. Every G_n ends there; oracle.dmp_planar decides a larger one.
 
-Exact searches (maximum clique, chromatic number) carry fixed input
-bounds and raise ExactSearchBoundError beyond them rather than approximating.
+Exact searches (maximum clique; chromatic number, a certified first-fit) carry
+fixed input bounds and raise ExactSearchBoundError beyond them.
 """
 
 from __future__ import annotations
@@ -323,55 +322,18 @@ def greedy_coloring(g: GcdGraph, order: Iterable[int] | None = None) -> Coloring
 
 
 def chromatic_number(g: GcdGraph) -> ColoringWitness:
-    """Exact chromatic number (loops ignored) by backtracking between the
-    max-clique lower bound and the greedy upper bound."""
+    """Exact chromatic number (loops ignored): first-fit in natural order,
+    certified by omega <= chi <= first-fit when its color count equals the
+    maximum clique's order, and an AssertionError when they differ. Color
+    classes are numbered by first appearance over 0..n-1."""
     if g.n > MAX_CHROMATIC_EXACT_N:
         raise ExactSearchBoundError(
             f"chromatic_number bounded at n <= {MAX_CHROMATIC_EXACT_N}, got {g.n}"
         )
-    if g.n == 0:
-        return ColoringWitness(colors={}, color_count=0, exact=True)
-    adj = g.adjacency
-    lower = _first_max_clique(g).bit_count()
-    greedy = greedy_coloring(g)
-    if greedy.color_count <= lower:
-        return ColoringWitness(colors=_canonical_colors(greedy.colors, g.n),
-                               color_count=greedy.color_count, exact=True)
-    order = sorted(range(g.n), key=lambda v: (-adj[v].bit_count(), v))
-    for k in range(lower, greedy.color_count):
-        assignment: dict[int, int] = {}
-        classes = [0] * k  # member mask per color; c is free for v when it misses adj[v]
-
-        def place(i: int, used: int) -> bool:
-            if i == g.n:
-                return True
-            v = order[i]
-            for c in range(min(used + 1, k)):
-                if not classes[c] & adj[v]:
-                    classes[c] |= 1 << v
-                    assignment[v] = c
-                    if place(i + 1, max(used, c + 1)):
-                        return True
-                    classes[c] ^= 1 << v
-            return False
-
-        if place(0, 0):
-            return ColoringWitness(colors=_canonical_colors(assignment, g.n),
-                                   color_count=k, exact=True)
-    return ColoringWitness(colors=_canonical_colors(greedy.colors, g.n),
-                           color_count=greedy.color_count, exact=True)
-
-
-def _canonical_colors(colors: dict[int, int], n: int) -> dict[int, int]:
-    """Relabel color classes by first appearance over vertices 0..n-1."""
-    relabel: dict[int, int] = {}
-    out: dict[int, int] = {}
-    for v in range(n):
-        c = colors[v]
-        if c not in relabel:
-            relabel[c] = len(relabel)
-        out[v] = relabel[c]
-    return out
+    greedy, omega = greedy_coloring(g), _first_max_clique(g).bit_count()
+    if greedy.color_count != omega:
+        raise AssertionError(f"first-fit: {greedy.color_count} colors, omega {omega} in G_{g.n}")
+    return ColoringWitness(colors=greedy.colors, color_count=omega, exact=True)
 
 
 def is_planar(g: GcdGraph) -> bool:
@@ -381,8 +343,8 @@ def is_planar(g: GcdGraph) -> bool:
     3v - 6 edges. Then each vertex of degree <= 2 is removed, and the two
     neighbours u, w of a degree-2 vertex are joined. That keeps planarity both
     ways: it is a smoothing, or, when u–w is already an edge, the vertex redrawn
-    beside it. A kernel of at most 5 vertices is planar unless it is K5; networkx
-    decides a larger one within Euler's bound, which no G_n leaves."""
+    beside it. A kernel of at most 5 vertices is planar unless it is K5. No G_n
+    leaves a larger one, which goes to the exact oracle.dmp_planar."""
     if g.n >= 3 and g.edge_count() > 3 * g.n - 6:  # Euler: planar has <= 3v - 6 edges
         return False
     adj, kernel = list(g.adjacency), (1 << g.n) - 1
@@ -401,17 +363,11 @@ def is_planar(g: GcdGraph) -> bool:
                 adj[u] |= 1 << w
                 adj[w] |= 1 << u
             reduced = True
-    size, edges = kernel.bit_count(), sum(adj[v].bit_count() for v in _bits(kernel)) // 2
-    if size <= 5:
-        return edges < 10  # only K5 has 10 edges on 5 vertices
-    if edges > 3 * size - 6:
-        return False
-    import networkx as nx  # slow to import, and no G_n gets this far
+    if kernel.bit_count() <= 5:  # only K5 has 10 edges on 5 vertices
+        return sum(adj[v].bit_count() for v in _bits(kernel)) // 2 < 10
+    from . import oracle  # oracle imports graph
 
-    graph = nx.Graph()
-    graph.add_edges_from((v, u) for v in _bits(kernel) for u in _bits(adj[v] & _above(v)))
-    planar, _ = nx.check_planarity(graph)
-    return planar
+    return oracle.dmp_planar(g)
 
 
 def analyze(g: GcdGraph) -> tuple[dict, list[str]]:

@@ -8,6 +8,10 @@ hard input bound, and skips only work that a stated theorem proves cannot
 change its answer. Planarity is the exception: `dmp_planar` is the polynomial
 embedding algorithm of Demoucron, Malgrange and Pertuiset (Rev. Française
 Rech. Opér. 8, 1964), exact and with no input bound.
+
+The product path calls in once: graph.is_planar hands `dmp_planar` a graph
+whose degree-2 kernel has >= 6 vertices. No G_n gets there, so verify's
+planarity claim on G_n still compares two independent computations.
 """
 
 from __future__ import annotations

@@ -777,30 +777,50 @@ def test_package_import_loads_no_submodule():
     subprocess.run([sys.executable, "-c", check], env=_subprocess_env(), check=True, timeout=60)
 
 
-def test_analyze_beyond_the_euler_bound_leaves_networkx_unloaded():
+def _run_without_networkx(body):
+    # a None entry in sys.modules makes every import of networkx fail
     check = (
-        "import contextlib, io, sys\n"
+        "import contextlib, io, itertools, sys\n"
+        "sys.modules['networkx'] = None\n"
         "from gcdpairs import cli\n"
+        "from gcdpairs.graph import GcdGraph, is_planar\n"
+        + body
+        + "assert sys.modules['networkx'] is None\n"
+    )
+    subprocess.run([sys.executable, "-c", check], env=_subprocess_env(), check=True, timeout=120)
+
+
+def test_analyze_beyond_the_euler_bound_leaves_networkx_unloaded():
+    _run_without_networkx(
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.main(['graph', '64', '--analyze']) == 0\n"
         "    assert cli.main(['graph', '8', '--analyze']) == 0\n"
-        "assert 'networkx' not in sys.modules\n"
     )
-    subprocess.run([sys.executable, "-c", check], env=_subprocess_env(), check=True, timeout=60)
 
 
 def test_verify_and_small_analyze_leave_networkx_unloaded():
     # G_2..G_5 and G_7 reduce to a kernel of <= 5 vertices, and G_6 fails Euler's bound
-    check = (
-        "import contextlib, io, sys\n"
-        "from gcdpairs import cli\n"
+    _run_without_networkx(
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.main(['verify']) == 0\n"
-        "    for n in range(2, 8):\n"
+        "    for n in range(2, 9):\n"
         "        assert cli.main(['graph', str(n), '--analyze']) == 0\n"
-        "assert 'networkx' not in sys.modules\n"
     )
-    subprocess.run([sys.executable, "-c", check], env=_subprocess_env(), check=True, timeout=120)
+
+
+def test_is_planar_on_a_six_vertex_kernel_leaves_networkx_unloaded():
+    _run_without_networkx(
+        "def graph(edges):\n"
+        "    adjacency = [0] * 6\n"
+        "    for a, b in edges:\n"
+        "        adjacency[a] |= 1 << b\n"
+        "        adjacency[b] |= 1 << a\n"
+        "    return GcdGraph(6, tuple(adjacency), frozenset())\n"
+        "k33 = [(a, b) for a in range(3) for b in range(3, 6)]\n"
+        "octahedron = set(itertools.combinations(range(6), 2)) - {(0, 1), (2, 3), (4, 5)}\n"
+        "assert not is_planar(graph(k33))\n"
+        "assert is_planar(graph(octahedron))  # 12 = 3v - 6 edges, a kernel of 6 vertices\n"
+    )
 
 
 def test_closed_pipe_shared_with_stderr_exits_2():

@@ -5,11 +5,14 @@ import hashlib
 import itertools
 import math
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gcdpairs import oracle
 from gcdpairs.graph import (
+    MAX_CHROMATIC_EXACT_N,
     ExactSearchBoundError,
     GcdGraph,
     analyze,
@@ -28,8 +31,8 @@ from gcdpairs.graph import (
     max_clique,
     star_subgraph,
 )
-from gcdpairs.numtheory import divisors, primes_below
-from gcdpairs.cli import main
+from gcdpairs.numtheory import divisors, phi_sieve, primes_below
+from gcdpairs.cli import ANALYZE_MAX_N, main
 from gcdpairs.pairs import is_gcd_pair, iter_pairs
 
 
@@ -257,13 +260,22 @@ def test_chromatic_examples():
 
 
 def test_chromatic_witness_is_proper_and_canonical():
-    g = build(12)
-    witness = chromatic_number(g)
-    for a, b in g.simple_edges:
-        assert witness.colors[a] != witness.colors[b]
-    assert witness.colors[0] == 0
-    assert len(set(witness.colors.values())) == witness.color_count
-    assert witness.color_count >= len(max_clique(g).vertices)
+    for n in range(1, MAX_CHROMATIC_EXACT_N + 1):
+        g = build(n)
+        witness = chromatic_number(g)
+        assert sorted(witness.colors) == list(range(n)), n
+        for a, b in g.simple_edges:
+            assert witness.colors[a] != witness.colors[b], n
+        # colors are numbered by first appearance over 0..n-1
+        first_seen = list(dict.fromkeys(witness.colors[v] for v in range(n)))
+        assert first_seen == list(range(witness.color_count)), n
+        assert witness.color_count == len(max_clique(g).vertices), n
+
+
+def test_chromatic_number_refuses_an_uncertified_coloring():
+    # the path 0-2-3-1: first-fit in natural order needs 3 colors, omega is 2
+    with pytest.raises(AssertionError):
+        chromatic_number(_graph(4, [(0, 2), (2, 3), (3, 1)]))
 
 
 def test_chromatic_bound_error_and_greedy_mode():
@@ -300,6 +312,23 @@ def test_planarity_at_the_euler_bound():
     assert is_planar(_graph(5, k5[1:]))  # K5 minus an edge: 9 = 3v - 6
     assert not is_planar(_graph(5, k5))  # 10 > 3v - 6
     assert not is_planar(_graph(6, [(a, b) for a in range(3) for b in range(3, 6)]))  # K3,3
+
+
+def test_no_g_n_up_to_the_analyze_bound_reaches_the_dmp_branch(monkeypatch):
+    # for n >= 10 the coprime pairs 1 <= a < b < n alone, Phi(n - 1) - 1 edges,
+    # exceed Euler's 3n - 6, so is_planar returns at its first test
+    totient_sums = numpy.cumsum(phi_sieve(ANALYZE_MAX_N))
+    n = numpy.arange(10, ANALYZE_MAX_N + 1)
+    assert (totient_sums[n - 1] - 1 > 3 * n - 6).all()
+    for m in range(10, 40):
+        assert build(m).edge_count() >= totient_sums[m - 1] - 1, m
+
+    def unreachable(g):
+        raise AssertionError(f"G_{g.n} reached oracle.dmp_planar")
+
+    monkeypatch.setattr(oracle, "dmp_planar", unreachable)
+    for m in range(1, 10):
+        assert is_planar(build(m)) == (m <= 7 and m != 6), m
 
 
 def test_k5_threshold_to_60():
