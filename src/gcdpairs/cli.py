@@ -2,7 +2,8 @@
 
 All output is UTF-8 with LF line endings and is byte-deterministic for a given
 invocation. Exit codes: 0 success (or positive check verdict), 1 negative
-check verdict, 2 usage error, 3 verification failure or exact-count mismatch.
+check verdict, 2 usage error, 3 verification failure, exact-count mismatch or
+an internal check that failed.
 """
 
 from __future__ import annotations
@@ -341,17 +342,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
     edges = pair_total(args.n) - len(loops)
     print(f"G_{args.n}: {args.n} vertices, {edges} edges, {len(loops)} loops")
     if invariants is not None:
-        for key in (
-            "connected",
-            "gamma",
-            "triangle",
-            "traceable",
-            "hamiltonian",
-            "clique_number",
-            "chromatic_number",
-            "planar",
-        ):
-            value = invariants[key]
+        for key, value in invariants.items():
             print(f"{key.replace('_', ' ')}: {'null' if value is None else value}")
         for note in notes:
             print(f"note: {note}")
@@ -400,6 +391,9 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print(f"gcdpairs {args.command}: input too large for memory", file=sys.stderr)
         return 2
+    except AssertionError as exc:  # a witness failed its own check: a regression
+        print(f"gcdpairs {args.command}: internal check failed: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -11,7 +11,9 @@ the vertices of degree <= 2 to a kernel, planar unless it is K5 when it has at
 most 5 vertices. Every G_n ends there; oracle.dmp_planar decides a larger one.
 
 Exact searches (maximum clique; chromatic number, a certified first-fit) carry
-fixed input bounds and raise ExactSearchBoundError beyond them.
+fixed input bounds and raise ExactSearchBoundError beyond them. A fixed witness
+that fails its check on the masks raises AssertionError: a regression, which
+verify reports as FAIL and the CLI as an internal check failure.
 """
 
 from __future__ import annotations
@@ -57,35 +59,15 @@ class PathWitness:
 
 
 @dataclass(frozen=True)
-class StarWitness:
-    center: int
-    leaves: frozenset[int]
-
-
-@dataclass(frozen=True)
 class CliqueWitness:
     vertices: frozenset[int]
     maximal: bool
-    maximum: bool
-
-    def sorted_vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.vertices))
 
 
 @dataclass(frozen=True)
 class ColoringWitness:
     colors: dict[int, int]
     color_count: int
-    exact: bool
-
-
-@dataclass(frozen=True)
-class HamiltonicityResult:
-    """Either a validated Hamiltonian cycle or, for odd n, the independent set
-    of even residues whose size (n+1)/2 > n/2 rules one out."""
-
-    cycle: PathWitness | None
-    obstruction: frozenset[int] | None
 
 
 def build(n: int) -> GcdGraph:
@@ -141,36 +123,34 @@ def is_connected(g: GcdGraph) -> bool:
     return seen == (1 << g.n) - 1
 
 
-def star_subgraph(g: GcdGraph) -> StarWitness:
-    """Maximal star centered at 1: {1, a} is an edge for every other a."""
+def star_subgraph(g: GcdGraph) -> frozenset[int]:
+    """The leaves of the maximal star centered at 1: {1, a} is an edge for
+    every other a."""
     if g.n < 2:
         raise ValueError(f"star_subgraph requires n >= 2, got {g.n}")
     missing = ((1 << g.n) - 1) & ~(g.adjacency[1] | 0b10)
     if missing:
         raise AssertionError(f"missing star edge {{1,{_bits(missing)[0]}}} in G_{g.n}")
-    return StarWitness(center=1, leaves=frozenset(range(g.n)) - {1})
+    return frozenset(range(g.n)) - {1}
 
 
-def embedding_check(small: GcdGraph, big: GcdGraph) -> tuple[bool, list[tuple[int, int]]]:
-    """Does small = G_m embed identically (labels 0..m-1) into big = G_n? Requires
-    m | n. Also returns the edges (a < b) and loops (a, a) of G_m missing in G_n."""
+def embedding_check(small: GcdGraph, big: GcdGraph) -> list[tuple[int, int]]:
+    """The edges (a < b) and loops (a, a) of small = G_m missing in big = G_n,
+    labels 0..m-1 kept; none means G_m embeds identically. Requires m | n."""
     if small.n < 1 or big.n % small.n != 0:
         raise ValueError(f"{small.n} does not divide {big.n}")
     rows = zip(small.adjacency, big.adjacency)
     missing = [(a, b) for a, (s, t) in enumerate(rows) for b in _bits(s & ~t & _above(a))]
     missing += [(a, a) for a in sorted(small.loops - big.loops)]
-    return (not missing, missing)
+    return missing
 
 
-def domination_number(g: GcdGraph) -> tuple[int, frozenset[int]]:
-    """Exact domination number with witness: vertex 1 neighbors everything, so
-    {1} dominates and the number is 1. oracle.exhaustive_domination is the
-    independent search."""
-    if g.n < 2:
-        raise ValueError(f"domination_number requires n >= 2, got {g.n}")
-    if g.adjacency[1] | 0b10 != (1 << g.n) - 1:
-        raise AssertionError(f"{{1}} does not dominate G_{g.n}")
-    return (1, frozenset({1}))
+def domination_number(g: GcdGraph) -> int:
+    """Exact domination number: star_subgraph checks that vertex 1 neighbors
+    everything, so {1} dominates and the number is 1.
+    oracle.exhaustive_domination is the independent search."""
+    star_subgraph(g)
+    return 1
 
 
 def has_triangle(g: GcdGraph) -> PathWitness | None:
@@ -195,22 +175,22 @@ def hamiltonian_path(g: GcdGraph) -> PathWitness:
     return _validate_path(g, PathWitness(vertices=tuple(range(g.n)), closed=False))
 
 
-def hamiltonian_cycle(g: GcdGraph) -> HamiltonicityResult:
-    """Constructive Hamiltonian cycle for even n > 2; for odd n, no cycle exists
-    and the even residues are returned as the obstruction (an independent set
-    larger than n/2); n = 2 has no cycle at all."""
+def hamiltonian_cycle(g: GcdGraph) -> PathWitness | None:
+    """Constructive Hamiltonian cycle for even n > 2, else None: n = 2 has no
+    cycle at all, and for odd n the even residues are checked to be an
+    independent set larger than n/2, which rules one out."""
     if g.n < 2:
         raise ValueError(f"hamiltonian_cycle requires n >= 2, got {g.n}")
     n = g.n
     if n == 2:
-        return HamiltonicityResult(cycle=None, obstruction=None)
+        return None
     if n % 2 == 0:
         cycle = PathWitness(vertices=(0,) + tuple(range(2, n)) + (1,), closed=True)
-        return HamiltonicityResult(cycle=_validate_path(g, cycle), obstruction=None)
+        return _validate_path(g, cycle)
     evens = sum(1 << v for v in range(0, n, 2))
     if any(g.adjacency[v] & evens for v in range(0, n, 2)):
         raise AssertionError(f"even residues not independent in G_{n}")
-    return HamiltonicityResult(cycle=None, obstruction=frozenset(range(0, n, 2)))
+    return None
 
 
 def longest_cycle_constructive(g: GcdGraph) -> PathWitness:
@@ -257,8 +237,7 @@ def max_clique(g: GcdGraph) -> CliqueWitness:
         raise ExactSearchBoundError(
             f"max_clique bounded at n <= {MAX_CLIQUE_EXACT_N}, got {g.n}"
         )
-    vertices = frozenset(_bits(_first_max_clique(g)))
-    return CliqueWitness(vertices=vertices, maximal=True, maximum=True)
+    return CliqueWitness(vertices=frozenset(_bits(_first_max_clique(g))), maximal=True)
 
 
 def clique_construction(g: GcdGraph) -> CliqueWitness:
@@ -273,8 +252,8 @@ def clique_construction(g: GcdGraph) -> CliqueWitness:
       divide pq), so the largest valid subset {1} + primes + {p^2} is returned.
     - anything else: {1} + primes below n, greedily extended to a maximal clique.
 
-    The maximal flag reports an explicit single-vertex extension test; maximum
-    is never claimed (use max_clique for that).
+    The maximal flag reports an explicit single-vertex extension test; the
+    clique need not be maximum (use max_clique for that).
     """
     n, adj = g.n, g.adjacency
     if n < 2:
@@ -300,12 +279,12 @@ def clique_construction(g: GcdGraph) -> CliqueWitness:
     if not all(joins(v) for v in _bits(clique)):
         raise AssertionError(f"construction for n={n} is not pairwise adjacent: {_bits(clique)}")
     maximal = not any(joins(v) for v in _bits(((1 << n) - 1) & ~clique))
-    return CliqueWitness(vertices=frozenset(_bits(clique)), maximal=maximal, maximum=False)
+    return CliqueWitness(vertices=frozenset(_bits(clique)), maximal=maximal)
 
 
 def greedy_coloring(g: GcdGraph, order: Iterable[int] | None = None) -> ColoringWitness:
     """Upper bound: first-fit over `order` (default: every vertex in natural
-    order); tagged non-exact."""
+    order)."""
     classes: list[int] = []  # one member mask per color class
     colors: dict[int, int] = {}
     for v in range(g.n) if order is None else order:
@@ -318,7 +297,7 @@ def greedy_coloring(g: GcdGraph, order: Iterable[int] | None = None) -> Coloring
             c = len(classes)
             classes.append(1 << v)
         colors[v] = c
-    return ColoringWitness(colors=colors, color_count=len(classes), exact=False)
+    return ColoringWitness(colors=colors, color_count=len(classes))
 
 
 def chromatic_number(g: GcdGraph) -> ColoringWitness:
@@ -333,7 +312,7 @@ def chromatic_number(g: GcdGraph) -> ColoringWitness:
     greedy, omega = greedy_coloring(g), _first_max_clique(g).bit_count()
     if greedy.color_count != omega:
         raise AssertionError(f"first-fit: {greedy.color_count} colors, omega {omega} in G_{g.n}")
-    return ColoringWitness(colors=greedy.colors, color_count=omega, exact=True)
+    return greedy
 
 
 def is_planar(g: GcdGraph) -> bool:
@@ -405,10 +384,10 @@ def analyze(g: GcdGraph) -> tuple[dict, list[str]]:
         )
     invariants = {
         "connected": is_connected(g),
-        "gamma": domination_number(g)[0],
+        "gamma": domination_number(g),
         "triangle": has_triangle(g) is not None,
         "traceable": hamiltonian_path(g) is not None,
-        "hamiltonian": hamiltonian_cycle(g).cycle is not None,
+        "hamiltonian": hamiltonian_cycle(g) is not None,
         "clique_number": clique_number,
         "chromatic_number": chromatic,
         "planar": is_planar(g),

@@ -174,7 +174,7 @@ def exhaustive_max_clique(g: GcdGraph) -> CliqueWitness:
             x |= vbit
 
     bk(0, (1 << g.n) - 1, 0)
-    return CliqueWitness(vertices=frozenset(best), maximal=True, maximum=True)
+    return CliqueWitness(vertices=frozenset(best), maximal=True)
 
 
 def exhaustive_chromatic(g: GcdGraph) -> int:

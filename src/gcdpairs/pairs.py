@@ -33,15 +33,6 @@ class ElementClasses(NamedTuple):
     zero_divisors: np.ndarray
 
 
-@dataclass(frozen=True)
-class ZeroDivisorPartition:
-    """Cells S'_d = {r*d : 1 <= r < n/d, gcd(r*d, n) = d} over proper
-    nontrivial divisors d of n; disjoint, and their union is the zero divisors."""
-
-    n: int
-    cells: dict[int, frozenset[int]]
-
-
 class CountKind(enum.Enum):
     EXACT = "exact"
     STRICT_LOWER_BOUND = "strict-lower-bound"
@@ -164,8 +155,10 @@ def classify_elements(n: int) -> ElementClasses:
     return ElementClasses(units, zero_divisors)
 
 
-def zero_divisor_partition(n: int) -> ZeroDivisorPartition:
-    """Partition the zero divisors of Z_n into the cells S'_d."""
+def zero_divisor_partition(n: int) -> dict[int, frozenset[int]]:
+    """Partition the zero divisors of Z_n into the cells S'_d = {r*d : 1 <= r < n/d,
+    gcd(r*d, n) = d}, keyed by the proper nontrivial divisors d of n with a
+    nonempty cell; the cells are disjoint and their union is the zero divisors."""
     if n < 2:
         raise ValueError(f"zero_divisor_partition requires n >= 2, got {n}")
     cells: dict[int, frozenset[int]] = {}
@@ -173,7 +166,7 @@ def zero_divisor_partition(n: int) -> ZeroDivisorPartition:
         cell = frozenset(r * d for r in range(1, n // d) if gcd(r * d, n) == d)
         if cell:
             cells[d] = cell
-    return ZeroDivisorPartition(n=n, cells=cells)
+    return cells
 
 
 def count_prime_power_formula(pp: PrimePower) -> CountResult:
@@ -254,6 +247,9 @@ def count_zero_divisor_closed(n: int) -> CountResult:
 
     Exact for primes (0), prime powers, 2p (p odd) and 3p (p != 3, p >= 5 after
     the 2p branch); a lower bound for other semiprimes and general composites.
+    Prime powers, 4 and 9 among them, take the first branch, so p != 2 in the 2p
+    branch and p != 3 in the 3p one; a non-prime-power with exactly two proper
+    nontrivial divisors is pq.
     """
     if n < 2:
         raise ValueError(f"count_zero_divisor_closed requires n >= 2, got {n}")
@@ -263,14 +259,14 @@ def count_zero_divisor_closed(n: int) -> CountResult:
             return CountResult(0, CountKind.EXACT, "prime-has-no-zero-divisors")
         value = pair_total(n // pp.p) - pp.k + 1
         return CountResult(value, CountKind.EXACT, "prime-power-reduction")
-    if n % 2 == 0 and is_prime(n // 2) and n // 2 != 2:
+    if n % 2 == 0 and is_prime(n // 2):
         p = n // 2
         return CountResult(pair_total(p) + p - 1, CountKind.EXACT, "double-prime-count")
-    if n % 3 == 0 and is_prime(n // 3) and n // 3 != 3:
+    if n % 3 == 0 and is_prime(n // 3):
         p = n // 3
         # ceil((p - 1) / 2) == p // 2 for integer p
         return CountResult(pair_total(p) + p + p // 2, CountKind.EXACT, "triple-prime-count")
     proper = nontrivial_divisors(n)[:-1]
-    if len(proper) == 2 and is_prime(proper[0]) and is_prime(proper[1]):
-        return semiprime_zero_divisor_bound(proper[0], proper[1])
+    if len(proper) == 2:
+        return semiprime_zero_divisor_bound(*proper)
     return divisor_cell_sum_bound(n)

@@ -187,18 +187,16 @@ def test_criterion_6_graph_propositions(capsys):
             g = build(n)
             assert is_connected(g), n
             if n >= 2:
-                gamma, witness = domination_number(g)
-                assert gamma == 1 and witness == frozenset({1}), n
-                star = star_subgraph(g)
-                assert star.center == 1 and len(star.leaves) == n - 1, n
+                assert domination_number(g) == 1, n
+                assert star_subgraph(g) == frozenset(range(n)) - {1}, n
                 hamiltonian_path(g)  # validates (0, ..., n-1)
             for m in divisors(n):
                 gm = build(m)
                 assert gm.simple_edges <= g.simple_edges and gm.loops <= g.loops, (m, n)
             assert (has_triangle(g) is not None) == (n >= 4), n
             if n >= 4 and n % 2 == 0:
-                result = hamiltonian_cycle(g)
-                assert result.cycle is not None and result.cycle.closed, n
+                cycle = hamiltonian_cycle(g)
+                assert cycle is not None and cycle.closed, n
         for n in range(5, 16, 2):
             cycle, longest = oracle.exhaustive_hamiltonian(build(n))
             assert cycle is None and longest == n - 1, n

@@ -362,6 +362,25 @@ def test_verify_exit_3_on_failure(monkeypatch, capsys):
     assert "FAIL" in out
 
 
+def test_a_failed_internal_check_is_one_line_and_exit_3(monkeypatch, capsys):
+    from gcdpairs import cli
+    from gcdpairs.graph import GcdGraph
+
+    def build_without_1_7(n):  # G_n without the edge {1, 7}
+        g = build(n)
+        adjacency = list(g.adjacency)
+        adjacency[1] &= ~(1 << 7)
+        adjacency[7] &= ~(1 << 1)
+        return GcdGraph(n, tuple(adjacency), g.loops)
+
+    monkeypatch.setattr(cli, "build", build_without_1_7)
+    code, out, err = run(capsys, "graph", "8", "--analyze")
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.endswith("\n")
+    assert err.startswith("gcdpairs graph: internal check failed:"), err
+
+
 def test_count_exit_3_on_exact_mismatch(monkeypatch, capsys):
     from gcdpairs import cli
     from gcdpairs.pairs import CountKind, CountResult

@@ -93,19 +93,17 @@ def test_connected_everywhere(n):
 
 
 def test_star_examples():
-    w6 = star_subgraph(build(6))
-    assert (w6.center, w6.leaves) == (1, frozenset({0, 2, 3, 4, 5}))
-    w2 = star_subgraph(build(2))
-    assert (w2.center, w2.leaves) == (1, frozenset({0}))
-    assert len(star_subgraph(build(9)).leaves) == 8
+    assert star_subgraph(build(6)) == frozenset({0, 2, 3, 4, 5})
+    assert star_subgraph(build(2)) == frozenset({0})
+    assert len(star_subgraph(build(9))) == 8
     with pytest.raises(ValueError):
         star_subgraph(build(1))
 
 
 def test_embedding_examples():
-    assert embedding_check(build(3), build(6)) == (True, [])
-    assert embedding_check(build(7), build(7)) == (True, [])
-    assert embedding_check(build(5), build(20)) == (True, [])
+    assert embedding_check(build(3), build(6)) == []
+    assert embedding_check(build(7), build(7)) == []
+    assert embedding_check(build(5), build(20)) == []
     with pytest.raises(ValueError):
         embedding_check(build(4), build(6))
 
@@ -114,14 +112,13 @@ def test_embedding_examples():
 @settings(max_examples=40)
 def test_embedding_for_every_divisor(n, data):
     m = data.draw(st.sampled_from(divisors(n)))
-    ok, missing = embedding_check(build(m), build(n))
-    assert ok and missing == []
+    assert embedding_check(build(m), build(n)) == []
 
 
 def test_domination_examples():
-    assert domination_number(build(6)) == (1, frozenset({1}))
-    assert domination_number(build(2)) == (1, frozenset({1}))
-    assert domination_number(build(12)) == (1, frozenset({1}))
+    for n in (6, 2, 12):  # {1} dominates: 1 neighbors every other vertex
+        assert domination_number(build(n)) == 1, n
+        assert star_subgraph(build(n)) == frozenset(range(n)) - {1}, n
     with pytest.raises(ValueError):
         domination_number(build(1))
 
@@ -151,28 +148,36 @@ def test_hamiltonian_path_examples():
 
 def test_hamiltonian_cycle_examples():
     six = hamiltonian_cycle(build(6))
-    assert six.cycle is not None and six.cycle.vertices == (0, 2, 3, 4, 5, 1)
-    seven = hamiltonian_cycle(build(7))
-    assert seven.cycle is None
-    assert seven.obstruction == frozenset({0, 2, 4, 6})
+    assert six is not None and six.vertices == (0, 2, 3, 4, 5, 1) and six.closed
+    assert hamiltonian_cycle(build(7)) is None
     eight = hamiltonian_cycle(build(8))
-    assert eight.cycle is not None and eight.cycle.vertices == (0, 2, 3, 4, 5, 6, 7, 1)
-    two = hamiltonian_cycle(build(2))
-    assert two.cycle is None and two.obstruction is None
+    assert eight is not None and eight.vertices == (0, 2, 3, 4, 5, 6, 7, 1)
+    assert hamiltonian_cycle(build(2)) is None
 
 
 @given(st.integers(2, 200))
 @settings(max_examples=60)
 def test_hamiltonian_cycle_parity(n):
-    result = hamiltonian_cycle(build(n))
+    cycle = hamiltonian_cycle(build(n))
     if n > 2 and n % 2 == 0:
-        assert result.cycle is not None and result.cycle.closed
-        assert sorted(result.cycle.vertices) == list(range(n))
+        assert cycle is not None and cycle.closed
+        assert sorted(cycle.vertices) == list(range(n))
     else:
-        assert result.cycle is None
-        if n % 2 == 1:
-            assert result.obstruction is not None
-            assert len(result.obstruction) == (n + 1) // 2
+        assert cycle is None
+        if n % 2 == 1:  # the obstruction: (n + 1) / 2 > n / 2 independent even residues
+            evens = range(0, n, 2)
+            assert len(evens) == (n + 1) // 2
+            assert not any(is_gcd_pair(n, a, b) for a, b in itertools.combinations(evens, 2))
+
+
+def test_hamiltonian_cycle_checks_the_odd_obstruction():
+    # G_7 with the even-even edge {2, 4} added: the even residues are no longer independent
+    g = build(7)
+    adjacency = list(g.adjacency)
+    adjacency[2] |= 1 << 4
+    adjacency[4] |= 1 << 2
+    with pytest.raises(AssertionError, match="even residues not independent in G_7"):
+        hamiltonian_cycle(GcdGraph(7, tuple(adjacency), g.loops))
 
 
 def test_longest_cycle_examples():
@@ -186,12 +191,14 @@ def test_longest_cycle_examples():
 
 
 def test_max_clique_examples():
-    assert max_clique(build(6)).sorted_vertices() == (1, 2, 3, 4, 5)
+    assert sorted(max_clique(build(6)).vertices) == [1, 2, 3, 4, 5]
     seven = max_clique(build(7))
     assert len(seven.vertices) == 4
     eight = max_clique(build(8))
-    assert eight.sorted_vertices() == (1, 2, 3, 4, 5, 7)
-    assert eight.maximal and eight.maximum
+    assert sorted(eight.vertices) == [1, 2, 3, 4, 5, 7]
+    assert eight.maximal
+    # maximum: the exhaustive oracle finds no larger clique
+    assert len(oracle.exhaustive_max_clique(build(8)).vertices) == len(eight.vertices)
 
 
 def test_max_clique_bound_error():
@@ -201,26 +208,28 @@ def test_max_clique_bound_error():
 
 def test_max_clique_is_lexicographically_smallest():
     # {1,2,4,5,6,7} is also a maximum clique of G_8; the smaller one wins
-    assert max_clique(build(8)).sorted_vertices() == (1, 2, 3, 4, 5, 7)
+    assert sorted(max_clique(build(8)).vertices) == [1, 2, 3, 4, 5, 7]
     # both {0,1,2} and {1,2,3} are maximum in G_4
-    assert max_clique(build(4)).sorted_vertices() == (0, 1, 2)
+    assert sorted(max_clique(build(4)).vertices) == [0, 1, 2]
 
 
-# sha256 of repr([max_clique(build(n)).sorted_vertices() for n in 27..64]),
+# sha256 of repr([tuple(sorted(max_clique(build(n)).vertices)) for n in 27..64]),
 # recorded when the witness was extracted vertex by vertex after a separate
 # search for the clique number
 WITNESSES_27_TO_64 = "04d30fe90269f71e9af35c8bab53f7d24ecf4033081b5fe511b9a9ae4e00c011"
 
 
 def test_max_clique_witnesses_past_the_oracle_bound():
-    witnesses = [max_clique(build(n)).sorted_vertices() for n in range(27, 65)]
+    witnesses = [tuple(sorted(max_clique(build(n)).vertices)) for n in range(27, 65)]
     assert hashlib.sha256(repr(witnesses).encode()).hexdigest() == WITNESSES_27_TO_64
 
 
 def test_clique_construction_examples():
     eight = clique_construction(build(8))
     assert sorted(eight.vertices) == [1, 2, 3, 4, 5, 7]
-    assert eight.maximal and not eight.maximum
+    assert eight.maximal
+    # the witness claims maximality only; max_clique is the exact search
+    assert [f.name for f in dataclasses.fields(eight)] == ["vertices", "maximal"]
     two = clique_construction(build(2))
     assert sorted(two.vertices) == [0, 1]
     six = clique_construction(build(6))
@@ -254,9 +263,11 @@ def test_clique_construction_valid_and_maximal(n):
 def test_chromatic_examples():
     expected = {2: 2, 3: 2, 4: 3, 5: 3, 6: 5, 7: 4, 8: 6}
     for n, chi in expected.items():
-        witness = chromatic_number(build(n))
+        g = build(n)
+        witness = chromatic_number(g)
         assert witness.color_count == chi, n
-        assert witness.exact
+        # exact: the count meets omega, a lower bound on any proper coloring
+        assert witness.color_count == len(max_clique(g).vertices), n
 
 
 def test_chromatic_witness_is_proper_and_canonical():
@@ -281,9 +292,9 @@ def test_chromatic_number_refuses_an_uncertified_coloring():
 def test_chromatic_bound_error_and_greedy_mode():
     with pytest.raises(ExactSearchBoundError):
         chromatic_number(build(17))
-    upper = greedy_coloring(build(17))
-    assert not upper.exact
     g = build(17)
+    upper = greedy_coloring(g)
+    assert upper.color_count >= len(max_clique(g).vertices)
     for a, b in g.simple_edges:
         assert upper.colors[a] != upper.colors[b]
 

@@ -190,17 +190,17 @@ def test_classification_partitions_the_ring(n):
 
 def test_zero_divisor_partition_examples():
     part6 = zero_divisor_partition(6)
-    assert {d: set(c) for d, c in part6.cells.items()} == {2: {2, 4}, 3: {3}}
+    assert {d: set(c) for d, c in part6.items()} == {2: {2, 4}, 3: {3}}
     part15 = zero_divisor_partition(15)
-    assert {d: set(c) for d, c in part15.cells.items()} == {3: {3, 6, 9, 12}, 5: {5, 10}}
-    assert zero_divisor_partition(13).cells == {}
+    assert {d: set(c) for d, c in part15.items()} == {3: {3, 6, 9, 12}, 5: {5, 10}}
+    assert zero_divisor_partition(13) == {}
 
 
 @given(st.integers(2, 500))
 def test_zero_divisor_partition_is_a_partition(n):
     part = zero_divisor_partition(n)
     seen: set[int] = set()
-    for d, cell in part.cells.items():
+    for d, cell in part.items():
         assert cell == {r * d for r in range(1, n // d) if math.gcd(r * d, n) == d}
         assert not (seen & cell)
         seen |= cell
@@ -292,7 +292,7 @@ def _cell_unit_matching(n, d):
     """{a, b} -> {a/d, b/d} over the gcd-pairs inside the cell S'_d of Z_n, as
     (left, right) entries, with the unit pairs of Z_{n/d} it should hit; both
     sides come from the oracle's definition."""
-    cell = zero_divisor_partition(n).cells[d]
+    cell = zero_divisor_partition(n)[d]
     left = _restricted(_naive_pairs(n), residue_mask(n, cell))
     m = n // d
     right = _restricted(_naive_pairs(m), classify_elements(m).units) if m >= 2 else ()
@@ -313,7 +313,7 @@ def test_cell_unit_matching_examples():
 def test_cell_unit_matching_is_a_bijection():
     # the lemma behind divisor_cell_sum_bound, for every cell of every n <= 200
     for n in range(2, 201):
-        for d in zero_divisor_partition(n).cells:
+        for d in zero_divisor_partition(n):
             matching, units = _cell_unit_matching(n, d)
             image = sorted(right for _, right in matching)
             assert image == sorted(units), (n, d)

@@ -109,6 +109,38 @@ def test_each_graph_is_built_once(monkeypatch):
     assert sorted(built) == list(range(1, 41))
 
 
+def test_a_witness_that_fails_its_check_is_a_fail(monkeypatch, capsys):
+    from gcdpairs.cli import main
+    from gcdpairs.graph import GcdGraph
+
+    real_build = verify.build
+
+    def build_without_1_9(n):  # G_10 loses the edge {1, 9}
+        g = real_build(n)
+        if n != 10:
+            return g
+        adjacency = list(g.adjacency)
+        adjacency[1] &= ~(1 << 9)
+        adjacency[9] &= ~(1 << 1)
+        return GcdGraph(n, tuple(adjacency), g.loops)
+
+    verify._graph.cache_clear()
+    monkeypatch.setattr(verify, "build", build_without_1_9)
+    try:
+        code = main(["verify", "--claims", "star,domination"])
+    finally:
+        verify._graph.cache_clear()  # the broken G_10 must not outlive the test
+    out, err = capsys.readouterr()
+    assert code == 3
+    lines = out.splitlines()
+    assert len(lines) == 3 and err == ""
+    for line, claim_id in zip(lines, ("star-subgraph", "domination-number")):
+        assert line.startswith("[FAIL       ] " + claim_id), line
+        assert line.endswith("  missing star edge {1,9} in G_10"), line
+    assert lines[2] == "summary: 0 pass, 2 fail, 0 discrepancy, 0 noted"
+    assert "Traceback" not in out + err
+
+
 @pytest.mark.parametrize("max_n", [1, 0, -5])
 def test_a_range_below_two_is_rejected(max_n):
     with pytest.raises(ValueError, match=f"max_n must be >= 2, got {max_n}"):
