@@ -15,7 +15,7 @@ import sys
 
 from . import np, oracle
 from .graph import MAX_CHROMATIC_EXACT_N, MAX_CLIQUE_EXACT_N, analyze, build
-from .numtheory import divisors, prime_power_decompose
+from .numtheory import divisors, factorize
 from .pairs import (
     CountResult,
     classify_elements,
@@ -242,8 +242,7 @@ def _formula_counts(n: int) -> tuple[CountResult | None, CountResult | None]:
     where no formula applies. An n >= 2 that is no prime power is composite."""
     if n < 2:
         return None, None
-    pp = prime_power_decompose(n)
-    total = composite_lower_bound(n) if pp is None else count_prime_power_formula(pp)
+    total = count_prime_power_formula(n) if len(factorize(n)) == 1 else composite_lower_bound(n)
     return total, count_zero_divisor_closed(n)
 
 

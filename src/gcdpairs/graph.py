@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import np
-from .numtheory import prime_factors, prime_power_decompose, primes_below
+from .numtheory import factorize, primes_below
 from .pairs import row_masks
 
 # Largest n each exact search accepts before raising.
@@ -265,13 +265,13 @@ def clique_construction(g: GcdGraph) -> CliqueWitness:
     if n == 2:
         clique = 0b11
     else:
-        pp = prime_power_decompose(n)
-        factors = prime_factors(n)
+        factors = factorize(n)
+        p, k = factors[0]
         clique = sum(1 << v for v in {1, *primes_below(n)})
-        if pp is not None:  # p itself is among the primes when k >= 2
-            clique |= sum(1 << (pp.p**j) for j in range(2, pp.k))
-        elif len(factors) == 2 and factors[0] * factors[1] == n:
-            clique |= 1 << (factors[0] ** 2)
+        if len(factors) == 1:  # p itself is among the primes when k >= 2
+            clique |= sum(1 << (p**j) for j in range(2, k))
+        elif [e for _, e in factors] == [1, 1]:  # n = pq
+            clique |= 1 << (p * p)
         else:
             for v in range(n):  # greedy lexicographic extension to maximality
                 if joins(v):

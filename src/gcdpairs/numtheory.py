@@ -1,7 +1,9 @@
 """Elementary number theory backing the pair-counting formulas.
 
-Single values are plain nonnegative Python ints (desk scale; trial division,
-no probabilistic primality), and tables over 0..limit come from numpy sieves.
+Single values are plain nonnegative Python ints at desk scale. Every question
+about one n (is it prime, its primes, its divisors, its totient) is answered
+from one factorize(n), by trial division with no probabilistic primality;
+tables over 0..limit come from numpy sieves.
 The summatory totient and Mertens' function come from one Dirichlet-recursion
 kernel that sieves only up to about limit^(2/3), so their time and memory grow
 as about limit^(2/3), not as the limit.
@@ -13,72 +15,46 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 from . import np
 
 
+def factorize(n: int) -> list[tuple[int, int]]:
+    """(p, k) for each prime power p^k exactly dividing n >= 1, p ascending ([]
+    for n = 1), by trial division by 2, 3 and then the 6j +- 1 wheel."""
+    if n < 1:
+        raise ValueError(f"factorize requires n >= 1, got {n}")
+    factors = []
+    rest = n
+    f, step = 2, 1
+    while f * f <= rest:
+        if rest % f == 0:
+            k = 0
+            while rest % f == 0:
+                rest //= f
+                k += 1
+            factors.append((f, k))
+        f += step
+        step = 4 if f % 6 == 1 else 2  # 2, 3, then 5, 7, 11, 13, ...
+    if rest > 1:
+        factors.append((rest, 1))
+    return factors
+
+
 def is_prime(n: int) -> bool:
-    """Trial division with a 2/3 wheel; enough for 64-bit desk-scale inputs."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    f = 5
-    while f * f <= n:
-        if n % f == 0 or n % (f + 2) == 0:
-            return False
-        f += 6
-    return True
-
-
-@dataclass(frozen=True)
-class PrimePower:
-    """n = p**k for a prime p and exponent k >= 1."""
-
-    p: int
-    k: int
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"p={self.p} is not prime")
-        if self.k < 1:
-            raise ValueError(f"k={self.k} must be >= 1")
-
-    @property
-    def value(self) -> int:
-        return self.p**self.k
+    """n is its own factorization."""
+    return n >= 2 and factorize(n) == [(n, 1)]
 
 
 @lru_cache(maxsize=None)
 def euler_phi(m: int) -> int:
-    """Count of 1 <= j <= m coprime to m, by trial-division factorization."""
-    if m < 1:
-        raise ValueError(f"euler_phi requires m >= 1, got {m}")
+    """Count of 1 <= j <= m coprime to m, from factorize(m)."""
     result = m
-    for p in prime_factors(m):
+    for p, _ in factorize(m):  # raises ValueError for m < 1
         result -= result // p
     return result
-
-
-def prime_factors(n: int) -> list[int]:
-    """The distinct primes dividing n >= 1, ascending, by trial division."""
-    primes = []
-    rest = n
-    f = 2
-    while f * f <= rest:
-        if rest % f == 0:
-            primes.append(f)
-            while rest % f == 0:
-                rest //= f
-        f += 1
-    if rest > 1:
-        primes.append(rest)
-    return primes
 
 
 def phi_partial_sum(limit: int) -> int:
@@ -188,25 +164,11 @@ def smallest_prime_factors(limit: int) -> memoryview:
 
 
 def divisors(n: int) -> list[int]:
-    """All positive divisors of n >= 1, ascending."""
-    if n < 1:
-        raise ValueError(f"divisors requires n >= 1, got {n}")
-    small, large = [], []
-    f = 1
-    while f * f <= n:
-        if n % f == 0:
-            small.append(f)
-            if f != n // f:
-                large.append(n // f)
-        f += 1
-    return small + large[::-1]
-
-
-def nontrivial_divisors(n: int) -> list[int]:
-    """Divisors of n except 1, ascending; includes n itself. Requires n >= 2."""
-    if n < 2:
-        raise ValueError(f"nontrivial_divisors requires n >= 2, got {n}")
-    return divisors(n)[1:]
+    """All positive divisors of n >= 1, ascending, from factorize(n)."""
+    result = [1]
+    for p, k in factorize(n):  # raises ValueError for n < 1
+        result = [d * p**i for d in result for i in range(k + 1)]
+    return sorted(result)
 
 
 def primes_below(x: int) -> list[int]:
@@ -220,16 +182,3 @@ def primes_below(x: int) -> list[int]:
             sieve[p * p :: p] = bytearray(len(range(p * p, x, p)))
     return [p for p in range(2, x) if sieve[p]]
 
-
-def prime_power_decompose(n: int) -> PrimePower | None:
-    """(p, k) with p**k == n when n >= 2 is a prime power, else None."""
-    if n < 2:
-        raise ValueError(f"prime_power_decompose requires n >= 2, got {n}")
-    primes = prime_factors(n)
-    if len(primes) != 1:
-        return None
-    p, k, power = primes[0], 1, primes[0]
-    while power < n:
-        power *= p
-        k += 1
-    return PrimePower(p, k)

@@ -15,14 +15,11 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import np
 from .numtheory import (
-    PrimePower,
     divisors,
+    factorize,
     is_prime,
     mertens,
-    nontrivial_divisors,
     phi_partial_sum,
-    prime_factors,
-    prime_power_decompose,
     smallest_prime_factors,
     summatory_totient,
 )
@@ -148,7 +145,7 @@ def classify_elements(n: int) -> ElementClasses:
     if n < 2:
         raise ValueError(f"classify_elements requires n >= 2, got {n}")
     units = np.ones(n, dtype=bool)
-    for p in prime_factors(n):
+    for p, _ in factorize(n):
         units[::p] = False
     zero_divisors = ~units
     zero_divisors[0] = False
@@ -162,17 +159,19 @@ def zero_divisor_partition(n: int) -> dict[int, frozenset[int]]:
     if n < 2:
         raise ValueError(f"zero_divisor_partition requires n >= 2, got {n}")
     cells: dict[int, frozenset[int]] = {}
-    for d in nontrivial_divisors(n)[:-1]:  # the d = n cell, r < n/d = 1, is empty
+    for d in divisors(n)[1:-1]:  # the d = n cell, r < n/d = 1, is empty
         cell = frozenset(r * d for r in range(1, n // d) if gcd(r * d, n) == d)
         if cell:
             cells[d] = cell
     return cells
 
 
-def count_prime_power_formula(pp: PrimePower) -> CountResult:
-    """|full pair set of Z_{p^k}| = k + sum_{i=1..k} sum_{j=1..p^i - 1} phi(j):
-    pair_total over the divisors p^i of p^k."""
-    return CountResult(pair_total(pp.value), CountKind.EXACT, "prime-power-formula")
+def count_prime_power_formula(n: int) -> CountResult:
+    """|full pair set of Z_n| = k + sum_{i=1..k} sum_{j=1..p^i - 1} phi(j) for a
+    prime power n = p^k (else ValueError): pair_total over the divisors p^i."""
+    if len(factorize(n)) != 1:
+        raise ValueError(f"count_prime_power_formula requires a prime power n, got {n}")
+    return CountResult(pair_total(n), CountKind.EXACT, "prime-power-formula")
 
 
 def composite_lower_bound(n: int) -> CountResult:
@@ -203,7 +202,7 @@ def divisor_cell_sum_bound(n: int) -> CountResult:
     if n < 2:
         raise ValueError(f"divisor_cell_sum_bound requires n >= 2, got {n}")
     # the d = n cell is empty: Z_1 has no pairs
-    cofactors = [n // d for d in nontrivial_divisors(n) if d < n]
+    cofactors = [n // d for d in divisors(n)[1:-1]]
     mobius_sum = mertens(max(cofactors, default=1) - 1)
     total = sum(_unit_pair_count(m, mobius_sum) for m in cofactors)
     return CountResult(total, CountKind.LOWER_BOUND, "divisor-cell-sum")
@@ -232,7 +231,7 @@ def _unit_pair_count(m: int, mobius_sum: Callable[[int], int]) -> int:
     count = len(values)
     coprime_sum = [mobius_sum(v) for v in values] + [0]  # [-1] is A(0) = 0
     units = values + [0]  # [-1] is f(0) = 0
-    for p in prime_factors(m):
+    for p, _ in factorize(m):
         # the index of v // p among the values; -1 for v // p = 0
         below = [w - 1 if w <= s else count - n // w for w in [v // p for v in values]]
         units = [u - units[j] for u, j in zip(units, below)] + [0]
@@ -243,30 +242,29 @@ def _unit_pair_count(m: int, mobius_sum: Callable[[int], int]) -> int:
 
 
 def count_zero_divisor_closed(n: int) -> CountResult:
-    """Best closed form for the number of pairs among the zero divisors of Z_n.
+    """Best closed form for the number of pairs among the zero divisors of Z_n,
+    chosen from factorize(n).
 
-    Exact for primes (0), prime powers, 2p (p odd) and 3p (p != 3, p >= 5 after
-    the 2p branch); a lower bound for other semiprimes and general composites.
-    Prime powers, 4 and 9 among them, take the first branch, so p != 2 in the 2p
-    branch and p != 3 in the 3p one; a non-prime-power with exactly two proper
-    nontrivial divisors is pq.
+    One factor p^k: exact, 0 for a prime and the prime-power reduction for
+    k >= 2. Two distinct primes p < q, each to the first power: exact for 2q
+    and 3q, a lower bound for the other pq. Anything else: the general
+    composite lower bound.
     """
     if n < 2:
         raise ValueError(f"count_zero_divisor_closed requires n >= 2, got {n}")
-    pp = prime_power_decompose(n)
-    if pp is not None:
-        if pp.k == 1:
+    factors = factorize(n)
+    if len(factors) == 1:
+        [(p, k)] = factors
+        if k == 1:
             return CountResult(0, CountKind.EXACT, "prime-has-no-zero-divisors")
-        value = pair_total(n // pp.p) - pp.k + 1
+        value = pair_total(n // p) - k + 1
         return CountResult(value, CountKind.EXACT, "prime-power-reduction")
-    if n % 2 == 0 and is_prime(n // 2):
-        p = n // 2
-        return CountResult(pair_total(p) + p - 1, CountKind.EXACT, "double-prime-count")
-    if n % 3 == 0 and is_prime(n // 3):
-        p = n // 3
-        # ceil((p - 1) / 2) == p // 2 for integer p
-        return CountResult(pair_total(p) + p + p // 2, CountKind.EXACT, "triple-prime-count")
-    proper = nontrivial_divisors(n)[:-1]
-    if len(proper) == 2:
-        return semiprime_zero_divisor_bound(*proper)
+    if [k for _, k in factors] == [1, 1]:
+        [(p, _), (q, _)] = factors
+        if p == 2:
+            return CountResult(pair_total(q) + q - 1, CountKind.EXACT, "double-prime-count")
+        if p == 3:
+            # ceil((q - 1) / 2) == q // 2 for integer q
+            return CountResult(pair_total(q) + q + q // 2, CountKind.EXACT, "triple-prime-count")
+        return semiprime_zero_divisor_bound(p, q)
     return divisor_cell_sum_bound(n)

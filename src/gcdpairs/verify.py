@@ -41,11 +41,9 @@ from .graph import (
     star_subgraph,
 )
 from .numtheory import (
-    PrimePower,
     divisors,
+    factorize,
     is_prime,
-    nontrivial_divisors,
-    prime_power_decompose,
     primes_below,
     summatory_totient,
 )
@@ -223,8 +221,8 @@ def _claim_unit_pairs_coprime(limit: int) -> Outcome:
 # --- counting formulas ----------------------------------------------------------
 
 
-def _prime_powers_upto(limit: int) -> list[PrimePower]:
-    return [pp for n in range(2, limit + 1) if (pp := prime_power_decompose(n)) is not None]
+def _prime_powers_upto(limit: int) -> list[int]:
+    return [n for n in range(2, limit + 1) if len(factorize(n)) == 1]
 
 
 @_claim(
@@ -235,11 +233,11 @@ def _prime_powers_upto(limit: int) -> list[PrimePower]:
 )
 def _claim_prime_power_count(limit: int) -> Outcome:
     pps = _prime_powers_upto(limit)
-    for checked, pp in enumerate(pps, 1):
-        expected = count_prime_power_formula(pp).value
-        actual = _table(limit).count(pp.value)
+    for checked, n in enumerate(pps, 1):
+        expected = count_prime_power_formula(n).value
+        actual = _table(limit).count(n)
         if expected != actual:
-            detail = f"formula {expected} != enumeration {actual} at n={pp.value}"
+            detail = f"formula {expected} != enumeration {actual} at n={n}"
             return Status.FAIL, detail, checked
     return Status.PASS, f"{len(pps)} prime powers match enumeration", len(pps)
 
@@ -285,7 +283,7 @@ def _claim_cell_sum_bound(limit: int) -> Outcome:
     table = _table(limit)
     for n in range(2, limit + 1):
         lhs = _zero_divisor_pairs(table, n)
-        rhs = sum(_unit_pairs(table, n // d) for d in nontrivial_divisors(n) if n // d >= 2)
+        rhs = sum(_unit_pairs(table, n // d) for d in divisors(n)[1:-1])
         if lhs < rhs:
             detail = f"zero-divisor pairs {lhs} below cell sum {rhs} at n={n}"
             return Status.DISCREPANCY, detail, n - 1
@@ -361,7 +359,7 @@ def _claim_triple_prime(limit: int) -> Outcome:
     "p^k <= {limit}",
 )
 def _claim_prime_power_zero_divisors(limit: int) -> Outcome:
-    moduli = [pp.value for pp in _prime_powers_upto(limit)]
+    moduli = _prime_powers_upto(limit)
     return _closed_forms_exact(limit, moduli, "{} prime powers exact (primes give 0)")
 
 
@@ -478,15 +476,15 @@ def _two_prime_products(limit: int) -> list[int]:
     return [n for n in (6, 10, 14, 15, 21, 22, 26, 33) if n <= limit]
 
 
-def _two_prime_parameters(n: int) -> tuple[int, int, int, int]:
-    """(p, q, m, k) for n = pq: m primes below pq other than p and q, and the
-    largest k with p^k < pq."""
-    p, q = [r for r in primes_below(n) if n % r == 0]
+def _two_prime_parameters(n: int) -> tuple[int, int, int]:
+    """(p, m, k) for n = pq, p < q: m primes below pq other than p and q, and
+    the largest k with p^k < pq."""
+    p = factorize(n)[0][0]
     m = len(primes_below(n)) - 2
     k = 1
     while p ** (k + 1) < n:
         k += 1
-    return p, q, m, k
+    return p, m, k
 
 
 def _is_ring_clique(n: int, vertices: list[int]) -> bool:
@@ -513,7 +511,7 @@ def _claim_clique_two_prime(limit: int) -> Outcome:
     rows = []
     bad = False
     for n in tested:
-        p, q, m, k = _two_prime_parameters(n)
+        p, m, k = _two_prime_parameters(n)
         claimed = m + k + 2
         claimed_set = sorted({1, *primes_below(n), *(p**j for j in range(2, k + 1))})
         valid = _is_ring_clique(n, claimed_set)
@@ -535,12 +533,13 @@ def _claim_clique_two_prime(limit: int) -> Outcome:
     return status, "; ".join(rows), len(tested)
 
 
-def _prime_power_clique_order(pp: PrimePower) -> int:
-    """m + k with m = primes below p^k other than p (k + 1 = 2 when n = 2)."""
-    if pp.value == 2:
+def _prime_power_clique_order(n: int) -> int:
+    """m + k for n = p^k, m = primes below n other than p (k + 1 = 2 when n = 2)."""
+    if n == 2:
         return 2
-    m = len([r for r in primes_below(pp.value) if r != pp.p])
-    return m + pp.k
+    [(p, k)] = factorize(n)
+    m = len([r for r in primes_below(n) if r != p])
+    return m + k
 
 
 @_claim(
@@ -551,9 +550,8 @@ def _prime_power_clique_order(pp: PrimePower) -> int:
 )
 def _claim_clique_prime_power(limit: int) -> Outcome:
     pps = _prime_powers_upto(limit)
-    for checked, pp in enumerate(pps, 1):
-        n = pp.value
-        expected = _prime_power_clique_order(pp)
+    for checked, n in enumerate(pps, 1):
+        expected = _prime_power_clique_order(n)
         witness = clique_construction(_graph(n))
         if len(witness.vertices) != expected or not witness.maximal:
             detail = (
@@ -646,7 +644,7 @@ def _claim_chromatic_two_prime(limit: int) -> Outcome:
     rows = []
     bad = False
     for n in tested:
-        _, _, m, k = _two_prime_parameters(n)
+        _, m, k = _two_prime_parameters(n)
         claimed = m + k + 2
         actual = chromatic_number(_graph(n)).color_count
         if actual >= claimed:
@@ -665,9 +663,8 @@ def _claim_chromatic_two_prime(limit: int) -> Outcome:
 )
 def _claim_chromatic_prime_bounds(limit: int) -> Outcome:
     for n in range(2, limit + 1):
-        pp = prime_power_decompose(n)
-        if pp is not None:
-            bound = _prime_power_clique_order(pp)
+        if len(factorize(n)) == 1:
+            bound = _prime_power_clique_order(n)
             actual = chromatic_number(_graph(n)).color_count
             if actual < bound:
                 return Status.FAIL, f"chromatic {actual} below m+k={bound} at n={n}", n - 1

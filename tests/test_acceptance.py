@@ -30,7 +30,7 @@ from gcdpairs.graph import (
     max_clique,
     star_subgraph,
 )
-from gcdpairs.numtheory import PrimePower, divisors, is_prime, phi_sieve, primes_below
+from gcdpairs.numtheory import divisors, is_prime, phi_sieve, primes_below
 from gcdpairs.pairs import (
     classify_elements,
     count_prime_power_formula,
@@ -57,14 +57,14 @@ def _report(number: int, name: str, ok: bool) -> None:
     print(f"ACCEPTANCE {number} ({name}): {'PASS' if ok else 'FAIL'}")
 
 
-def _prime_power_values(limit: int) -> list[PrimePower]:
+def _prime_power_values(limit: int) -> list[int]:
     out = []
     for p in primes_below(limit + 1):
         k = 1
         while p**k <= limit:
-            out.append(PrimePower(p, k))
+            out.append(p**k)
             k += 1
-    return sorted(out, key=lambda pp: pp.value)
+    return sorted(out)
 
 
 def test_criterion_1_nu6_exact_reproduction(capsys):
@@ -108,10 +108,8 @@ def test_criterion_3_prime_power_formula_vs_enumeration(capsys):
         start = time.perf_counter()
         values = _prime_power_values(2048)
         assert len(values) == 340  # all prime powers up to 2048
-        for pp in values:
-            assert (
-                count_prime_power_formula(pp).value == oracle.naive_count(pp.value)
-            ), pp
+        for n in values:
+            assert count_prime_power_formula(n).value == oracle.naive_count(n), n
         elapsed = time.perf_counter() - start
         assert elapsed < 30.0, f"sweep took {elapsed:.1f} s"
         ok = True
@@ -152,10 +150,10 @@ def test_criterion_5_zero_divisor_closed_forms(capsys):
                 n = 3 * p
                 result = count_zero_divisor_closed(n)
                 assert result.kind.value == "exact" and result.value == brute(n), n
-        for pp in _prime_power_values(2048):
-            result = count_zero_divisor_closed(pp.value)
+        for n in _prime_power_values(2048):
+            result = count_zero_divisor_closed(n)
             assert result.kind.value == "exact"
-            assert result.value == brute(pp.value), pp
+            assert result.value == brute(n), n
         # the two-prime lower bound at n = 15: bound 13, actual 14
         assert semiprime_zero_divisor_bound(3, 5).value == 13
         assert brute(15) == 14

@@ -8,23 +8,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gcdpairs.numtheory import (
-    PrimePower,
     divisors,
     euler_phi,
     _sieve_cut,
+    factorize,
     is_prime,
     mertens,
     mobius_sieve,
-    nontrivial_divisors,
     phi_partial_sum,
     phi_sieve,
-    prime_factors,
-    prime_power_decompose,
     primes_below,
     smallest_prime_factors,
     summatory_totient,
 )
 from gcdpairs.oracle import _gcd as gcd  # the Euclid loop every oracle reference uses
+from gcdpairs.pairs import count_prime_power_formula
 
 
 def test_gcd_examples():
@@ -136,16 +134,18 @@ def test_phi_partial_sum_increments(n):
 
 
 def test_nontrivial_divisors_examples():
-    assert nontrivial_divisors(6) == [2, 3, 6]
-    assert nontrivial_divisors(15) == [3, 5, 15]
-    assert nontrivial_divisors(8) == [2, 4, 8]
+    # the nontrivial divisors of n are divisors(n)[1:]
+    assert divisors(6)[1:] == [2, 3, 6]
+    assert divisors(15)[1:] == [3, 5, 15]
+    assert divisors(8)[1:] == [2, 4, 8]
+    assert divisors(1)[1:] == []
     with pytest.raises(ValueError):
-        nontrivial_divisors(1)
+        divisors(0)
 
 
-@given(st.integers(2, 3000))
-def test_nontrivial_divisors_by_trial_division(n):
-    assert nontrivial_divisors(n) == [d for d in range(2, n + 1) if n % d == 0]
+def test_nontrivial_divisors_by_trial_division():
+    for n in range(1, 3001):
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
 
 
 def test_primes_below_examples():
@@ -164,29 +164,40 @@ def test_is_prime_small():
         assert is_prime(n) == (n in primes)
 
 
-def test_prime_power_decompose_examples():
-    assert prime_power_decompose(9) == PrimePower(3, 2)
-    assert prime_power_decompose(6) is None
-    assert prime_power_decompose(8) == PrimePower(2, 3)
+def test_factorize_examples():
+    assert factorize(9) == [(3, 2)]
+    assert factorize(6) == [(2, 1), (3, 1)]
+    assert factorize(8) == [(2, 3)]
+    assert factorize(1) == []
 
 
 @given(st.integers(2, 5000))
-def test_prime_power_decompose_iff_single_prime_factor(n):
-    distinct = {p for p in range(2, n + 1) if n % p == 0 and is_prime(p)}
-    result = prime_power_decompose(n)
+def test_factorize_is_one_factor_iff_single_prime_factor(n):
+    distinct = {p for p in primes_below(n + 1) if n % p == 0}
+    factors = factorize(n)
     if len(distinct) == 1:
-        assert result is not None
-        assert result.p == min(distinct)
-        assert result.p**result.k == n
+        [(p, k)] = factors
+        assert p == min(distinct)
+        assert p**k == n
     else:
-        assert result is None
+        assert len(factors) != 1
+
+
+def test_factorize_near_the_formula_bound():
+    # count's closed forms take n <= 10**9: the largest prime and 2p below it,
+    # the slowest highly composite n, and the bound itself
+    assert factorize(999999937) == [(999999937, 1)]
+    assert factorize(999999986) == [(2, 1), (499999993, 1)]
+    assert factorize(735134400) == [(2, 6), (3, 3), (5, 2), (7, 1), (11, 1), (13, 1), (17, 1)]
+    assert factorize(10**9) == [(2, 9), (5, 9)]
 
 
 def test_prime_power_validates():
+    for not_a_prime_power in (6, 1):
+        with pytest.raises(ValueError):
+            count_prime_power_formula(not_a_prime_power)
     with pytest.raises(ValueError):
-        PrimePower(4, 2)
-    with pytest.raises(ValueError):
-        PrimePower(3, 0)
+        factorize(0)
 
 
 def test_divisors_include_endpoints():
@@ -195,9 +206,17 @@ def test_divisors_include_endpoints():
 
 
 def test_prime_factors_are_the_distinct_prime_divisors():
-    for n in range(1, 2000):
-        expected = [p for p in range(2, n + 1) if n % p == 0 and is_prime(p)]
-        assert prime_factors(n) == expected, n
+    # the primes dividing each n, listed by sieving rather than by factorize
+    limit = 20000
+    prime_divisors = [[] for _ in range(limit)]
+    for p in primes_below(limit):
+        for m in range(p, limit, p):
+            prime_divisors[m].append(p)
+    for n in range(1, limit):
+        factors = factorize(n)
+        assert [p for p, _ in factors] == prime_divisors[n], n
+        assert math.prod(p**k for p, k in factors) == n, n
+        assert all(n % p ** (k + 1) for p, k in factors), n
 
 
 def _mobius(m: int) -> int:
