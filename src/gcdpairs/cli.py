@@ -377,14 +377,16 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
-    except BrokenPipeError:
-        # The reader went away; send what is still buffered to devnull so the
-        # flush at interpreter exit stays silent. stderr may share the closed pipe.
+    except OSError as exc:  # a closed pipe (BrokenPipeError) or a full device
+        # Send what is still buffered to devnull so the flush at interpreter exit
+        # stays silent. stderr may share the closed pipe or the full device.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
+        closed = isinstance(exc, BrokenPipeError)
+        why = "output pipe closed" if closed else f"cannot write output: {exc.strerror}"
         try:
-            print(f"gcdpairs {args.command}: output pipe closed", file=sys.stderr, flush=True)
-        except BrokenPipeError:
+            print(f"gcdpairs {args.command}: {why}", file=sys.stderr, flush=True)
+        except OSError:
             os.dup2(devnull, sys.stderr.fileno())
         return 2
     except MemoryError:

@@ -6,9 +6,8 @@ every a >= 1 with a | n (gcd(a, a) = a), but coloring and planarity ignore
 loops. All witness-returning searches break ties lexicographically so outputs
 are deterministic and golden-testable.
 
-Planarity is decided on the masks: Euler's edge bound, then a reduction of
-the vertices of degree <= 2 to a kernel, planar unless it is K5 when it has at
-most 5 vertices. Every G_n ends there; oracle.dmp_planar decides a larger one.
+Planarity is Euler's edge bound, which rejects every non-planar G_n, then the
+exact oracle.dmp_planar for the rest: among the G_n, n in {1, ..., 5, 7}.
 
 Exact searches (maximum clique; chromatic number, a certified first-fit) carry
 fixed input bounds and raise ExactSearchBoundError beyond them. A fixed witness
@@ -319,31 +318,11 @@ def is_planar(g: GcdGraph) -> bool:
     """Exact planarity of the simple-edge graph (loops are irrelevant).
 
     Euler's bound comes first: a planar graph on v >= 3 vertices has at most
-    3v - 6 edges. Then each vertex of degree <= 2 is removed, and the two
-    neighbours u, w of a degree-2 vertex are joined. That keeps planarity both
-    ways: it is a smoothing, or, when u–w is already an edge, the vertex redrawn
-    beside it. A kernel of at most 5 vertices is planar unless it is K5. No G_n
-    leaves a larger one, which goes to the exact oracle.dmp_planar."""
+    3v - 6 edges, and every non-planar G_n has more. The exact
+    oracle.dmp_planar decides every other graph; among the G_n, that is
+    n in {1, ..., 5, 7}."""
     if g.n >= 3 and g.edge_count() > 3 * g.n - 6:  # Euler: planar has <= 3v - 6 edges
         return False
-    adj, kernel = list(g.adjacency), (1 << g.n) - 1
-    reduced = True
-    while reduced:
-        reduced = False
-        for v in _bits(kernel):
-            ends = _bits(adj[v])
-            if len(ends) > 2:
-                continue
-            kernel ^= 1 << v
-            for u in ends:
-                adj[u] ^= 1 << v
-            if len(ends) == 2:
-                u, w = ends
-                adj[u] |= 1 << w
-                adj[w] |= 1 << u
-            reduced = True
-    if kernel.bit_count() <= 5:  # only K5 has 10 edges on 5 vertices
-        return sum(adj[v].bit_count() for v in _bits(kernel)) // 2 < 10
     from . import oracle  # oracle imports graph
 
     return oracle.dmp_planar(g)

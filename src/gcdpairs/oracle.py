@@ -9,9 +9,10 @@ change its answer. Planarity is the exception: `dmp_planar` is the polynomial
 embedding algorithm of Demoucron, Malgrange and Pertuiset (Rev. Française
 Rech. Opér. 8, 1964), exact and with no input bound.
 
-The product path calls in once: graph.is_planar hands `dmp_planar` a graph
-whose degree-2 kernel has >= 6 vertices. No G_n gets there, so verify's
-planarity claim on G_n still compares two independent computations.
+The product path calls in once: graph.is_planar hands `dmp_planar` every
+graph within Euler's edge bound, among the G_n those with n in {1, ..., 5, 7}.
+For these verify's planarity claim compares DMP with itself; the tests check
+them against networkx. Euler's bound rejects every other G_n.
 """
 
 from __future__ import annotations

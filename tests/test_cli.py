@@ -818,7 +818,7 @@ def test_analyze_beyond_the_euler_bound_leaves_networkx_unloaded():
 
 
 def test_verify_and_small_analyze_leave_networkx_unloaded():
-    # G_2..G_5 and G_7 reduce to a kernel of <= 5 vertices, and G_6 fails Euler's bound
+    # G_2..G_5 and G_7 go to the DMP oracle, and G_6 and G_8 fail Euler's bound
     _run_without_networkx(
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.main(['verify']) == 0\n"
@@ -838,7 +838,7 @@ def test_is_planar_on_a_six_vertex_kernel_leaves_networkx_unloaded():
         "k33 = [(a, b) for a in range(3) for b in range(3, 6)]\n"
         "octahedron = set(itertools.combinations(range(6), 2)) - {(0, 1), (2, 3), (4, 5)}\n"
         "assert not is_planar(graph(k33))\n"
-        "assert is_planar(graph(octahedron))  # 12 = 3v - 6 edges, a kernel of 6 vertices\n"
+        "assert is_planar(graph(octahedron))  # 12 = 3v - 6 edges: Euler passes it to DMP\n"
     )
 
 
@@ -860,6 +860,27 @@ def test_closed_pipe_shared_with_stderr_exits_2():
         assert proc.stdout.readline()
         proc.stdout.close()
         assert proc.wait(timeout=60) == 2, argv
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_failed_stdout_write_is_one_line_and_exit_2():
+    # exit 1 is check's "not a gcd-pair", so a traceback's exit 1 misreported it
+    for argv in (
+        ["list", "10"],
+        ["list", "5000"],
+        ["list", "3000", "--json"],
+        ["verify"],
+        ["graph", "12", "--json"],
+        ["count", "60"],
+        ["check", "6", "2", "3"],
+    ):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "gcdpairs", *argv],
+                stdout=full, stderr=subprocess.PIPE, env=_subprocess_env(), text=True, timeout=60,
+            )
+        assert proc.returncode == 2, argv
+        assert proc.stderr == f"gcdpairs {argv[0]}: cannot write output: No space left on device\n"
 
 
 # A child's ru_maxrss starts from the RSS of the process that forked it, so

@@ -325,7 +325,7 @@ def test_planarity_at_the_euler_bound():
     assert not is_planar(_graph(6, [(a, b) for a in range(3) for b in range(3, 6)]))  # K3,3
 
 
-def test_no_g_n_up_to_the_analyze_bound_reaches_the_dmp_branch(monkeypatch):
+def test_euler_rejects_every_non_planar_g_n_and_dmp_decides_the_rest(monkeypatch):
     # for n >= 10 the coprime pairs 1 <= a < b < n alone, Phi(n - 1) - 1 edges,
     # exceed Euler's 3n - 6, so is_planar returns at its first test
     totient_sums = numpy.cumsum(phi_sieve(ANALYZE_MAX_N))
@@ -333,13 +333,20 @@ def test_no_g_n_up_to_the_analyze_bound_reaches_the_dmp_branch(monkeypatch):
     assert (totient_sums[n - 1] - 1 > 3 * n - 6).all()
     for m in range(10, 40):
         assert build(m).edge_count() >= totient_sums[m - 1] - 1, m
+    for m, edges in ((6, 13), (8, 23), (9, 24)):  # the non-planar G_n below 10
+        assert build(m).edge_count() == edges > 3 * m - 6, m
 
-    def unreachable(g):
-        raise AssertionError(f"G_{g.n} reached oracle.dmp_planar")
+    calls = {}
+    dmp_planar = oracle.dmp_planar
 
-    monkeypatch.setattr(oracle, "dmp_planar", unreachable)
-    for m in range(1, 10):
+    def recording(g):
+        calls[g.n] = dmp_planar(g)
+        return calls[g.n]
+
+    monkeypatch.setattr(oracle, "dmp_planar", recording)
+    for m in range(1, 61):
         assert is_planar(build(m)) == (m <= 7 and m != 6), m
+    assert calls == {m: True for m in (1, 2, 3, 4, 5, 7)}
 
 
 def test_k5_threshold_to_60():

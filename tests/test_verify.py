@@ -207,3 +207,13 @@ def test_planarity_is_checked_against_the_dmp_oracle(monkeypatch):
     (entry,) = run_verification(max_n=8, claims=["planarity-threshold"]).entries
     assert entry.status is Status.FAIL
     assert entry.details == "is_planar disagrees with the DMP oracle at n=8"
+
+
+def test_a_planar_verdict_on_g_6_fails_the_stated_set(monkeypatch):
+    # G_6 contains K5: when is_planar and the DMP oracle agree on a wrong True,
+    # the comparison with the stated planar set is what fails the claim
+    monkeypatch.setattr(oracle, "dmp_planar", lambda g: True)
+    monkeypatch.setattr(verify, "is_planar", lambda g: True)
+    (entry,) = run_verification(max_n=8, claims=["planarity-threshold"]).entries
+    assert entry.status is Status.FAIL
+    assert entry.details == "planarity wrong at n=6"
