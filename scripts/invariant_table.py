@@ -8,7 +8,7 @@ Example:
 import argparse
 
 from gcdpairs.graph import analyze, build
-from gcdpairs.pairs import classify_elements, count_pairs
+from gcdpairs.pairs import count_pairs
 
 
 def main() -> None:
@@ -21,7 +21,7 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     for n in range(max(args.start, 2), args.stop + 1):
-        pairs, zd_pairs = count_pairs(n, classify_elements(n).zero_divisors)
+        pairs, zd_pairs = count_pairs(n)
         g = build(n)
         invariants, _ = analyze(g)
         omega = invariants["clique_number"]

@@ -9,6 +9,8 @@ an internal check that failed.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
@@ -31,12 +33,11 @@ from .pairs import (
 from .verify import run_verification
 
 # The largest n that count's closed forms take. The slowest n below it are
-# highly composite, not powers of ten: 735134400 and 980179200 take about 4 s
-# and 57-63 MB on a 2-vCPU VM, against 1.9 s and 63 MB for 10^9 itself.
+# highly composite, not powers of ten: 735134400 and 980179200 take 3.3-4.1 s
+# and 37-40 MB on a 2-vCPU VM, against 2.1 s and 40 MB for 10^9 itself.
 FORMULA_MAX_N = 10**9
-# The largest n that count enumerates. count_pairs walks n row_masks rows of up
-# to n cells, so time grows as n^2: 200000 takes about 7 s and 57 MB, and the
-# prime 199999 about 9 s and 64 MB, on a 2-vCPU VM.
+# The largest n that count enumerates. count_pairs counts each of the n rows in
+# closed form: 200000 and the prime 199999 take about 1 s and 19 MB (2-vCPU VM).
 ENUMERATE_MAX_N = 200_000
 # The largest n that list, graph --json and graph --dot take. Each row is n cells:
 # at n = 10^7 list --subset 0,1 takes 0.24 s and 53 MB, and over the first 10^9
@@ -267,8 +268,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     enumerated: dict[str, int] | None = None
     formulas: tuple[CountResult | None, CountResult | None] | None = None
     if args.method in ("enumerate", "both"):
-        zero_divisors = classify_elements(n).zero_divisors if n >= 2 else np.zeros(n, dtype=bool)
-        total, among_zero = count_pairs(n, zero_divisors)
+        total, among_zero = count_pairs(n)
         enumerated = {"total": total, "zero_divisors": among_zero}
     if args.method in ("formula", "both"):
         formulas = _formula_counts(n)
@@ -368,14 +368,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    name, help_text = "gcdpairs", io.StringIO()  # argparse would drop a failed write of --help
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse has printed its own message
-        code = exc.code
-        return code if isinstance(code, int) else 2
-    try:
-        code = args.func(args)
-        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        try:
+            with contextlib.redirect_stdout(help_text):
+                args = parser.parse_args(argv)
+        except SystemExit as exc:  # argparse has printed its message, or the help to help_text
+            sys.stdout.write(help_text.getvalue())
+            code = exc.code if isinstance(exc.code, int) else 2
+        else:
+            name = f"gcdpairs {args.command}"
+            code = args.func(args)
+        sys.stdout.flush()  # a closed pipe or a full device shows here, not at interpreter exit
         return code
     except OSError as exc:  # a closed pipe (BrokenPipeError) or a full device
         # Send what is still buffered to devnull so the flush at interpreter exit
@@ -385,15 +389,15 @@ def main(argv: list[str] | None = None) -> int:
         closed = isinstance(exc, BrokenPipeError)
         why = "output pipe closed" if closed else f"cannot write output: {exc.strerror}"
         try:
-            print(f"gcdpairs {args.command}: {why}", file=sys.stderr, flush=True)
+            print(f"{name}: {why}", file=sys.stderr, flush=True)
         except OSError:
             os.dup2(devnull, sys.stderr.fileno())
         return 2
     except MemoryError:
-        print(f"gcdpairs {args.command}: input too large for memory", file=sys.stderr)
+        print(f"{name}: input too large for memory", file=sys.stderr)
         return 2
     except AssertionError as exc:  # a witness failed its own check: a regression
-        print(f"gcdpairs {args.command}: internal check failed: {exc}", file=sys.stderr)
+        print(f"{name}: internal check failed: {exc}", file=sys.stderr)
         return 3
 
 

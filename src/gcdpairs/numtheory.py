@@ -3,7 +3,7 @@
 Single values are plain nonnegative Python ints at desk scale. Every question
 about one n (is it prime, its primes, its divisors, its totient) is answered
 from one factorize(n), by trial division with no probabilistic primality;
-tables over 0..limit come from numpy sieves.
+tables over 0..limit are standard-library arrays off one least-prime-factor sieve.
 The summatory totient and Mertens' function come from one Dirichlet-recursion
 kernel that sieves only up to about limit^(2/3), so their time and memory grow
 as about limit^(2/3), not as the limit.
@@ -16,9 +16,8 @@ from __future__ import annotations
 import math
 from array import array
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable
-
-from . import np
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -85,7 +84,7 @@ def _sieve_cut(limit: int) -> int:
 
 
 def _dirichlet_summatory(
-    g: Callable[[int], int], sieve: Callable[[int], np.ndarray], limit: int
+    g: Callable[[int], int], sieve: Callable[[int], array], limit: int
 ) -> Callable[[int], int]:
     """F(x) for 0 <= x <= limit, where F is the summatory function of `sieve`'s
     values and sum_{k=1..x} F(x // k) = g(x) for x >= 1.
@@ -98,7 +97,7 @@ def _dirichlet_summatory(
     recurses into sum to O(x^(2/3))."""
     cut = _sieve_cut(limit)
     # 8 bytes an entry, read back as Python ints; a list would hold about 40
-    table = array("q", np.cumsum(sieve(cut), dtype=np.int64).tobytes())
+    table = array("q", accumulate(sieve(cut)))
     memo: dict[int, int] = {}
 
     def summatory(x: int) -> int:
@@ -111,7 +110,7 @@ def _dirichlet_summatory(
         while k <= x:
             q = x // k
             next_k = x // q + 1  # the k' with x // k' == q are k <= k' < next_k
-            total -= (next_k - k) * summatory(q)
+            total -= (next_k - k) * (table[q] if q <= cut else summatory(q))
             k = next_k
         memo[x] = total
         return total
@@ -119,48 +118,44 @@ def _dirichlet_summatory(
     return summatory
 
 
-def phi_sieve(limit: int) -> np.ndarray:
-    """phi(0..limit) as int64, with phi(0) = 0; the summatory totient's prefix
-    table is its cumulative sum. Must agree with euler_phi everywhere (tested).
-
-    Only the primes p <= sqrt(limit) are sieved. Dividing them out of each m
-    leaves 1 or the one prime factor of m above sqrt(limit), applied last."""
-    phi = np.arange(limit + 1, dtype=np.int64)
-    rest = phi.copy()
-    for p in primes_below(math.isqrt(limit) + 1):
-        phi[::p] -= phi[::p] // p
-        power = p
-        while power <= limit:
-            rest[::power] //= p
-            power *= p
-    large = rest > 1
-    phi[large] -= phi[large] // rest[large]
+def phi_sieve(limit: int) -> array:
+    """phi(0..limit) as an int64 array, with phi(0) = 0, in one pass up the
+    least-prime-factor table: phi(p * k) with p = spf[p * k] is phi(k) * p when
+    p | k, else phi(k) * (p - 1). The summatory totient's prefix table is its
+    cumulative sum. Must agree with euler_phi everywhere (tested)."""
+    phi = array("q", [0, 1][: limit + 1]) + array("q", [0]) * (limit - 1)
+    for m, p in enumerate(smallest_prime_factors(limit)[2:], 2):
+        if p:
+            k = m // p
+            phi[m] = phi[k] * (p if k % p == 0 else p - 1)
+        else:  # a prime
+            phi[m] = m - 1
     return phi
 
 
-def mobius_sieve(limit: int) -> np.ndarray:
-    """mu(0..limit) as int8, with mu(0) = 0, sieved like phi_sieve: each prime
-    p <= sqrt(limit) flips the sign of its multiples and zeroes those of p^2,
-    and a squarefree m left with one prime factor above sqrt(limit) flips once more."""
-    mu = np.ones(limit + 1, dtype=np.int8)
-    rest = np.arange(limit + 1, dtype=np.int64)
-    for p in primes_below(math.isqrt(limit) + 1):
-        mu[::p] *= -1
-        mu[:: p * p] = 0
-        rest[::p] //= p
-    mu[rest > 1] *= -1
-    mu[0] = 0
+def mobius_sieve(limit: int) -> array:
+    """mu(0..limit) as an int8 array, with mu(0) = 0, in one pass like
+    phi_sieve's: mu(p * k) is 0 when p | k, else -mu(k)."""
+    mu = array("b", [0, 1][: limit + 1]) + array("b", [0]) * (limit - 1)
+    for m, p in enumerate(smallest_prime_factors(limit)[2:], 2):
+        if not p:  # a prime
+            mu[m] = -1
+        elif m // p % p:
+            mu[m] = -mu[m // p]
     return mu
 
 
-def smallest_prime_factors(limit: int) -> memoryview:
-    """spf[m] is the least prime factor of m for 2 <= m <= limit (spf[0] = 0,
-    spf[1] = 1), sieved by the primes p <= sqrt(limit). The table is stored in the
-    narrowest type holding limit, and indexing its memoryview gives plain ints."""
-    spf = np.arange(limit + 1, dtype=np.min_scalar_type(limit))
-    for p in reversed(primes_below(math.isqrt(limit) + 1)):
-        spf[p * p :: p] = p  # descending, so the least prime writes last
-    return memoryview(spf)
+def smallest_prime_factors(limit: int) -> array:
+    """spf[m] is the least prime factor of a composite m <= limit and 0 for
+    0, 1 and the primes, so `spf[m] or m` is that of any m >= 2. The primes
+    p <= sqrt(limit) write it, descending so that the least writes last, and
+    are all it holds: its array type is the narrowest holding sqrt(limit)."""
+    root = math.isqrt(limit)
+    code = "B" if root < 1 << 8 else "H" if root < 1 << 16 else "I"
+    spf = array(code, [0]) * (limit + 1)
+    for p in reversed(primes_below(root + 1)):
+        spf[p * p :: p] = array(code, [p]) * len(range(p * p, limit + 1, p))
+    return spf
 
 
 def divisors(n: int) -> list[int]:

@@ -9,7 +9,9 @@ golden tests are deterministic.
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass
+from itertools import accumulate
 from math import gcd, isqrt
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -59,13 +61,8 @@ def is_gcd_pair(n: int, x: int, y: int) -> bool:
 def row_masks(n: int, rows: Sequence[int] | None = None) -> Iterator[tuple[int, np.ndarray]]:
     """(a, row) for each a of the ascending `rows` (every a < n by default):
     the length-n row[b] is true exactly when {a, b} is a gcd-pair; the a = 0
-    row marks the divisors of n.
-
-    gcd(a, b) fails to divide n exactly when some prime p has p^(v_p(n) + 1)
-    dividing both a and b, and the primes with v_p(a) > v_p(n) are those of
-    a / gcd(a, n). Such an m = p^(v_p(n) + 1) divides a, so it divides b
-    exactly when m | b: row a clears every m-th cell from cell 0, and a row
-    with a | n stays all true. The prime factor table reaches the last row."""
+    row marks the divisors of n. Row a clears the multiples of each m of
+    _moduli(n, a), and the factor table reaches the last row."""
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
     rows = range(n) if rows is None else rows
@@ -76,16 +73,24 @@ def row_masks(n: int, rows: Sequence[int] | None = None) -> Iterator[tuple[int, 
             yield 0, residue_mask(n, divisors(n)[:-1])
             continue
         row = ones.copy()
-        rest = a // gcd(a, n)
-        while rest > 1:
-            p = spf[rest]
-            while rest % p == 0:
-                rest //= p
-            m = p
-            while n % m == 0:
-                m *= p
+        for m in _moduli(n, a, spf):
             row[::m] = False
         yield a, row
+
+
+def _moduli(n: int, a: int, spf: Sequence[int]) -> Iterator[int]:
+    """The pairwise coprime m = p^(v_p(n) + 1) for the primes p of a / gcd(a, n),
+    those with v_p(a) > v_p(n), read off the least-prime-factor table spf:
+    gcd(a, b) fails to divide n exactly when one of them divides b."""
+    rest = a // gcd(a, n)
+    while rest > 1:
+        p = spf[rest] or rest
+        while rest % p == 0:
+            rest //= p
+        m = p
+        while n % m == 0:
+            m *= p
+        yield m
 
 
 def pair_rows(n: int, within: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
@@ -109,15 +114,31 @@ def residue_mask(n: int, residues: Iterable[int]) -> np.ndarray:
     return mask
 
 
-def count_pairs(n: int, within: np.ndarray) -> tuple[int, int]:
-    """(number of gcd-pairs of Z_n, number of those with both ends flagged in
-    the length-n bool array `within`), counted on row_masks; no pair is built."""
-    total = inside = 0
-    for a, row in row_masks(n):
-        total += int(np.count_nonzero(row[a:]))
-        if within[a]:
-            inside += int(np.count_nonzero(row[a:] & within[a:]))
-    return total, inside
+def count_pairs(n: int) -> tuple[int, int]:
+    """(number of gcd-pairs of Z_n, number of those among its zero divisors),
+    each row in closed form. Row 0 holds the divisors below n. Row a >= 1 keeps
+    the b in [a, n) that no m of _moduli(n, a) divides: by inclusion-exclusion
+    over the pairwise coprime m, the sum over their products q < n of +-(the
+    multiples of q in [a, n)). Only the m = p coprime to n divide a unit, and
+    q * c is a unit exactly when c is, so the units among those b are the same
+    sum over the q coprime to n with units[x], the units in 1..x, for x."""
+    is_unit = bytearray([1]) * n
+    for p, _ in factorize(n):  # raises ValueError for n < 1
+        is_unit[::p] = bytes(len(range(0, n, p)))
+    units, spf = array("q", accumulate(is_unit)), smallest_prime_factors(n - 1)
+    total, among = len(divisors(n)) - 1, 0
+    for a in range(1, n):
+        terms = [(1, 1)]  # (q, the sign of its multiples)
+        for m in _moduli(n, a, spf):
+            terms += [(q * m, -sign) for q, sign in terms if q * m < n]
+        for q, sign in terms:
+            kept = sign * ((n - 1) // q - (a - 1) // q)
+            total += kept
+            if not is_unit[a]:  # a zero divisor, so count the zero divisors kept
+                among += kept
+                if gcd(q, n) == 1:
+                    among -= sign * (units[(n - 1) // q] - units[(a - 1) // q])
+    return total, among
 
 
 def iter_pairs(n: int) -> Iterator[tuple[int, int]]:

@@ -438,7 +438,7 @@ def test_count_enumeration_bound_exits_2_before_any_work(monkeypatch, capsys):
     message = message.replace(above, str(cli.FORMULA_MAX_N))
     assert run(capsys, "count", str(cli.FORMULA_MAX_N)) == (2, "", message)
     # at the bound the enumeration runs: here a stub in its place
-    monkeypatch.setattr(cli, "count_pairs", lambda n, within: (7, 3))
+    monkeypatch.setattr(cli, "count_pairs", lambda n: (7, 3))
     code, out, _ = run(capsys, "count", str(cli.ENUMERATE_MAX_N), "--method", "enumerate")
     assert code == 0 and out.splitlines() == ["pairs total: 7", "pairs among zero divisors: 3"]
     assert f"count enumeration bound (fixed): n <= {cli.ENUMERATE_MAX_N}" in cli._EPILOG
@@ -778,6 +778,43 @@ def test_cli_import_leaves_networkx_unloaded():
     assert out.splitlines() == NU_6_LINES + ["The number of gcd-pairs is 16"]
 
 
+def test_count_runs_without_numpy():
+    # a None entry in sys.modules makes every import of numpy fail
+    check = (
+        "import contextlib, io, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from gcdpairs import cli\n"
+        "for argv in (['1'], ['12', '--json'], ['5000'], ['262144', '--method', 'formula']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        assert cli.main(['count', *argv]) == 0, argv\n"
+        "    print(out.getvalue(), end='')\n"
+        "assert sys.modules['numpy'] is None\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", check], env=_subprocess_env(), capture_output=True, text=True,
+        check=True, timeout=60,
+    ).stdout
+    count_12 = {
+        "schema": 1, "n": 12, "enumerate": {"total": 64, "zero_divisors": 25},
+        "formula": {
+            "total": {"value": 43, "kind": "strict-lower-bound",
+                      "provenance": "summatory-totient-bound"},
+            "zero_divisors": {"value": 7, "kind": "lower-bound", "provenance": "divisor-cell-sum"},
+        },
+        "exact_match": True,
+    }
+    assert out == "".join([
+        "pairs total: 0\npairs among zero divisors: 0\n",
+        "formula total: unavailable\nformula zero divisors: unavailable\n",
+        json.dumps(count_12, indent=2) + "\n",
+        "pairs total: 10510714\npairs among zero divisors: 3756639\n",
+        "formula total: > 7598459 (strict-lower-bound, summatory-totient-bound)\n",
+        "formula zero divisors: >= 702379 (lower-bound, divisor-cell-sum)\n",
+        "formula total: = 27850812587 (exact, prime-power-formula)\n",
+        "formula zero divisors: = 6962678997 (exact, prime-power-reduction)\n",
+    ])
+
+
 def test_np_binding_hands_out_numpy_itself():
     assert gcdpairs.np.ndarray is numpy.ndarray
     assert gcdpairs.np.int64 is numpy.int64
@@ -881,6 +918,22 @@ def test_a_failed_stdout_write_is_one_line_and_exit_2():
             )
         assert proc.returncode == 2, argv
         assert proc.stderr == f"gcdpairs {argv[0]}: cannot write output: No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_help_on_a_full_device_is_one_line_and_exit_2():
+    # argparse writes the help inside parse_args and drops a failed write
+    for argv in (["--help"], ["list", "--help"]):
+        for unbuffered in ("", "1"):
+            with open("/dev/full", "w") as full:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "gcdpairs", *argv], stdout=full,
+                    stderr=subprocess.PIPE, text=True, timeout=60,
+                    env={**_subprocess_env(), "PYTHONUNBUFFERED": unbuffered},
+                )
+            assert proc.returncode == 2, (argv, unbuffered)
+            expected = "gcdpairs: cannot write output: No space left on device\n"
+            assert proc.stderr == expected, (argv, unbuffered)
 
 
 # A child's ru_maxrss starts from the RSS of the process that forked it, so

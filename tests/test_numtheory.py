@@ -116,10 +116,17 @@ def test_summatory_kernel_at_published_values():
 
 @pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 48, 49, 50, 1000])
 def test_smallest_prime_factors_by_trial_division(limit):
-    expected = [0, 1][: limit + 1] + [
-        next(f for f in range(2, m + 1) if m % f == 0) for m in range(2, limit + 1)
+    # 0 marks each m that no f < m divides: 0, 1 and the primes
+    expected = [0, 0][: limit + 1] + [
+        next((f for f in range(2, m) if m % f == 0), 0) for m in range(2, limit + 1)
     ]
     assert smallest_prime_factors(limit).tolist() == expected
+
+
+def test_smallest_prime_factors_take_the_narrowest_type_holding_sqrt_limit():
+    # the table holds only the primes p <= sqrt(limit)
+    limits = (0, 2**16 - 1, 2**16, 10**7)
+    assert [smallest_prime_factors(x).typecode for x in limits] == ["B", "B", "H", "H"]
 
 
 def test_phi_partial_sum_examples():

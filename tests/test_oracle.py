@@ -22,6 +22,7 @@ from gcdpairs.pairs import (
     classify_elements,
     count_pairs,
     iter_pairs,
+    pair_rows,
 )
 
 
@@ -53,10 +54,12 @@ def test_row_counts_and_rows_equal_euclid_oracle_to_150():
     for n in range(1, 151):
         reference = oracle.naive_enumerate(n).pairs
         assert list(iter_pairs(n)) == list(reference), n
-        for within in classify_elements(n) if n >= 2 else [np.zeros(n, dtype=bool)]:
-            subset = np.flatnonzero(within).tolist()  # the units, then the zero divisors
-            expected = (len(reference), oracle.naive_restricted_count(n, subset))
-            assert count_pairs(n, within) == expected, (n, subset)
+        units, zero_divisors = classify_elements(n) if n >= 2 else [np.zeros(n, dtype=bool)] * 2
+        among = oracle.naive_restricted_count(n, np.flatnonzero(zero_divisors).tolist())
+        assert count_pairs(n) == (len(reference), among), n
+        rows = pair_rows(n, units)
+        among = oracle.naive_restricted_count(n, np.flatnonzero(units).tolist())
+        assert sum(len(bs) for _, bs in rows) == among, n
 
 
 def test_naive_restricted_count():

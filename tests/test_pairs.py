@@ -150,7 +150,7 @@ def test_restrict_to_zero_divisors_of_8_uses_4(capsys):
 
 
 def test_restrict_empty_and_validation(capsys):
-    assert count_pairs(10, residue_mask(10, ())) == (len(tuple(iter_pairs(10))), 0)
+    assert list(pairs.pair_rows(10, residue_mask(10, ()))) == []
     assert main(["list", "10", "--subset", "10"]) == 2
     assert capsys.readouterr().err == "gcdpairs list: residue 10 outside [0, 10)\n"
 
@@ -435,6 +435,30 @@ def test_row_masks_are_full_rows():
 
 
 def test_pair_total_matches_the_gcd_table_to_500():
+    # and so do count_pairs' total and its pairs among the zero divisors
     table = oracle.GcdTable(501)
     for n in range(1, 501):
         assert pairs.pair_total(n) == table.count(n), n
+        zero_divisors = classify_elements(n).zero_divisors if n >= 2 else np.zeros(1, dtype=bool)
+        assert count_pairs(n) == (table.count(n), table.count(n, zero_divisors)), n
+
+
+# (total, pairs among zero divisors), recorded from the row-mask walk that the
+# closed-form rows replaced; no closed form is exact for their zero divisors
+MASK_WALK_COUNTS = {
+    5000: (10510714, 3756639),
+    60060: (1721016526, 1105748721),
+    180180: (15661444428, 10124126538),
+    200000: (16885746616, 6078169739),
+}
+
+
+def test_count_pairs_at_large_n_equals_the_closed_forms():
+    # the prime 199999, 2^17, 5^7, 2q and 3q: count_zero_divisor_closed is exact there
+    for n in (199999, 2**17, 5**7, 2 * 49999, 3 * 33331):
+        closed = count_zero_divisor_closed(n)
+        assert closed.kind is CountKind.EXACT, n
+        assert count_pairs(n) == (pairs.pair_total(n), closed.value), n
+    for n, counts in MASK_WALK_COUNTS.items():
+        assert count_pairs(n) == counts, n
+        assert counts[0] == pairs.pair_total(n), n
