@@ -4,7 +4,8 @@ Simple edges and loops are stored separately: each vertex a has one int
 bitmask whose bit b is set when {a, b} is a simple edge, and a loop sits at
 every a >= 1 with a | n (gcd(a, a) = a), but coloring and planarity ignore
 loops. All witness-returning searches break ties lexicographically so outputs
-are deterministic and golden-testable.
+are deterministic and golden-testable. clique_construction is one greedy rule
+for every n, so its witness is maximal by construction and carries no flag.
 
 Planarity is Euler's edge bound, which rejects every non-planar G_n, then the
 exact oracle.dmp_planar for the rest: among the G_n, n in {1, ..., 5, 7}.
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import np
-from .numtheory import factorize, primes_below
+from .numtheory import primes_below
 from .pairs import row_masks
 
 # Largest n each exact search accepts before raising.
@@ -60,7 +61,6 @@ class PathWitness:
 @dataclass(frozen=True)
 class CliqueWitness:
     vertices: frozenset[int]
-    maximal: bool
 
 
 @dataclass(frozen=True)
@@ -153,16 +153,14 @@ def domination_number(g: GcdGraph) -> int:
 
 
 def has_triangle(g: GcdGraph) -> PathWitness | None:
-    """A triangle if one exists: (1, 2, 3) is always one for n >= 4 (consecutive
-    residues are coprime); otherwise an exhaustive lexicographic scan."""
+    """The triangle (1, 2, 3) for n >= 4 (consecutive residues are coprime);
+    below that, (0, 1, 2) if g has its three edges, else None. G_1 and G_2
+    have fewer than three vertices and G_3 lacks the edge {0, 2}."""
     if g.n >= 4:
         return _validate_path(g, PathWitness(vertices=(1, 2, 3), closed=True))
     adj = g.adjacency
-    for a in range(g.n):
-        for b in _bits(adj[a] & _above(a)):
-            common = adj[a] & adj[b] & _above(b)
-            if common:
-                return PathWitness(vertices=(a, b, _bits(common)[0]), closed=True)
+    if g.n == 3 and adj[0] >> 1 & adj[0] >> 2 & adj[1] >> 2 & 1:
+        return PathWitness(vertices=(0, 1, 2), closed=True)
     return None
 
 
@@ -236,49 +234,29 @@ def max_clique(g: GcdGraph) -> CliqueWitness:
         raise ExactSearchBoundError(
             f"max_clique bounded at n <= {MAX_CLIQUE_EXACT_N}, got {g.n}"
         )
-    return CliqueWitness(vertices=frozenset(_bits(_first_max_clique(g))), maximal=True)
+    return CliqueWitness(vertices=frozenset(_bits(_first_max_clique(g))))
 
 
 def clique_construction(g: GcdGraph) -> CliqueWitness:
-    """The closed-form clique for n = g.n, validated on G_n's adjacency masks.
-
-    - n = 2: {0, 1}.
-    - prime powers p^k: {1} + primes below n other than p + {p, ..., p^(k-1)};
-      order (number of other primes) + k, and provably maximal.
-    - products of two distinct primes p < q: of the advertised vertex family
-      {1, primes below pq, p^2, ..., p^k} only one power above p can be kept
-      (two distinct powers p^i, p^j with 2 <= i < j collide: gcd = p^i does not
-      divide pq), so the largest valid subset {1} + primes + {p^2} is returned.
-    - anything else: {1} + primes below n, greedily extended to a maximal clique.
-
-    The maximal flag reports an explicit single-vertex extension test; the
-    clique need not be maximum (use max_clique for that).
+    """The greedy clique of G_n, n = g.n >= 2: from C0 = {1} + the primes
+    below n, add in ascending order each vertex adjacent to the whole clique
+    so far; a member of C0 that fails the same mask test raises AssertionError.
+    Maximal, as a skipped vertex missed a member and the clique only grows; not
+    necessarily maximum (max_clique is). A v outside C0 that joins has only
+    primes dividing n (each prime r of v is in C0, and gcd(v, r) = r), and 0
+    joins only at n = 2. So n = p^k gets p^2, ..., p^(k-1), and n = pq, p < q,
+    gets p^2 and then no p^3 < pq, since gcd(p^3, p^2) = p^2 does not divide pq.
     """
     n, adj = g.n, g.adjacency
     if n < 2:
         raise ValueError(f"clique_construction requires n >= 2, got {n}")
-
-    def joins(v: int) -> bool:  # v is in the clique or adjacent to all of it
-        return (adj[v] | 1 << v) & clique == clique
-
-    if n == 2:
-        clique = 0b11
-    else:
-        factors = factorize(n)
-        p, k = factors[0]
-        clique = sum(1 << v for v in {1, *primes_below(n)})
-        if len(factors) == 1:  # p itself is among the primes when k >= 2
-            clique |= sum(1 << (p**j) for j in range(2, k))
-        elif [e for _, e in factors] == [1, 1]:  # n = pq
-            clique |= 1 << (p * p)
-        else:
-            for v in range(n):  # greedy lexicographic extension to maximality
-                if joins(v):
-                    clique |= 1 << v
-    if not all(joins(v) for v in _bits(clique)):
-        raise AssertionError(f"construction for n={n} is not pairwise adjacent: {_bits(clique)}")
-    maximal = not any(joins(v) for v in _bits(((1 << n) - 1) & ~clique))
-    return CliqueWitness(vertices=frozenset(_bits(clique)), maximal=maximal)
+    clique = sum(1 << v for v in {1, *primes_below(n)})
+    for v in range(n):
+        if (adj[v] | 1 << v) & clique == clique:  # v is in or adjacent to all of it
+            clique |= 1 << v
+        elif clique >> v & 1:
+            raise AssertionError(f"construction for n={n}: {v} misses a member of {_bits(clique)}")
+    return CliqueWitness(vertices=frozenset(_bits(clique)))
 
 
 def greedy_coloring(g: GcdGraph, order: Iterable[int] | None = None) -> ColoringWitness:

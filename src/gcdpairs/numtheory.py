@@ -3,7 +3,7 @@
 Single values are plain nonnegative Python ints at desk scale. Every question
 about one n (is it prime, its primes, its divisors, its totient) is answered
 from one factorize(n), by trial division with no probabilistic primality;
-tables over 0..limit are standard-library arrays off one least-prime-factor sieve.
+tables over 0..limit and the primes below x come off one least-prime-factor sieve.
 The summatory totient and Mertens' function come from one Dirichlet-recursion
 kernel that sieves only up to about limit^(2/3), so their time and memory grow
 as about limit^(2/3), not as the limit.
@@ -167,13 +167,9 @@ def divisors(n: int) -> list[int]:
 
 
 def primes_below(x: int) -> list[int]:
-    """Ascending primes strictly below x."""
+    """Ascending primes strictly below x: the zeros from 2 up of
+    smallest_prime_factors(x - 1), which calls back here below sqrt(x)."""
     if x <= 2:
         return []
-    sieve = bytearray([1]) * x
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(x - 1) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(range(p * p, x, p)))
-    return [p for p in range(2, x) if sieve[p]]
-
+    spf = smallest_prime_factors(x - 1)
+    return [p for p in range(2, x) if not spf[p]]

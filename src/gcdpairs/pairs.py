@@ -95,16 +95,11 @@ def _moduli(n: int, a: int, spf: Sequence[int]) -> Iterator[int]:
 
 def pair_rows(n: int, within: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
     """(a, the ascending int array of the b >= a with {a, b} a gcd-pair of
-    Z_n) for each a < n; given the length-n bool array `within`, for each
-    flagged a only, with only the flagged b. Only the yielded rows are sieved."""
-    if within is None:
-        for a, row in row_masks(n):
-            yield a, np.flatnonzero(row[a:]) + a
-        return
-    flagged = np.flatnonzero(within)
-    for i, (a, row) in enumerate(row_masks(n, flagged)):
-        above = flagged[i:]  # the flagged b >= a
-        yield a, above[row[above]]
+    Z_n) for each a flagged in the length-n bool array `within` (all of them
+    by default), with only the flagged b. Only the yielded rows are sieved."""
+    flagged = None if within is None else np.flatnonzero(within)
+    for a, row in row_masks(n, flagged):
+        yield a, np.flatnonzero(row[a:] if within is None else row[a:] & within[a:]) + a
 
 
 def residue_mask(n: int, residues: Iterable[int]) -> np.ndarray:

@@ -552,12 +552,12 @@ def _claim_clique_prime_power(limit: int) -> Outcome:
     pps = _prime_powers_upto(limit)
     for checked, n in enumerate(pps, 1):
         expected = _prime_power_clique_order(n)
-        witness = clique_construction(_graph(n))
-        if len(witness.vertices) != expected or not witness.maximal:
-            detail = (
-                f"construction order {len(witness.vertices)} (maximal={witness.maximal}) "
-                f"!= {expected} at n={n}"
-            )
+        witness = sorted(clique_construction(_graph(n)).vertices)
+        maximal = all(
+            any(not _ring_pair(n, v, w) for w in witness) for v in range(n) if v not in witness
+        )
+        if len(witness) != expected or not maximal:
+            detail = f"construction order {len(witness)} (maximal={maximal}) != {expected} at n={n}"
             return Status.FAIL, detail, checked
         if _observed_omega(n) < expected:
             return Status.FAIL, f"maximum clique below {expected} at n={n}", checked

@@ -242,11 +242,13 @@ def test_criterion_8_discrepancy_ledger(capsys):
         # property-based substitute: adjacency-validated construction + exact oracle
         g22 = build(22)
         witness = clique_construction(g22)
-        assert witness.maximal
         members = sorted(witness.vertices)
         for i, a in enumerate(members):
             for b in members[i + 1 :]:
                 assert 22 % gcd(a, b) == 0
+        # maximal: every other residue misses some member
+        for v in set(range(22)) - witness.vertices:
+            assert any(22 % gcd(v, w) for w in members), v
         assert (
             len(oracle.exhaustive_max_clique(g22).vertices)
             == len(max_clique(g22).vertices)

@@ -15,6 +15,7 @@ from gcdpairs.graph import (
     MAX_CHROMATIC_EXACT_N,
     ExactSearchBoundError,
     GcdGraph,
+    PathWitness,
     analyze,
     build,
     chromatic_number,
@@ -31,7 +32,7 @@ from gcdpairs.graph import (
     max_clique,
     star_subgraph,
 )
-from gcdpairs.numtheory import divisors, phi_sieve, primes_below
+from gcdpairs.numtheory import divisors, factorize, phi_sieve, primes_below
 from gcdpairs.cli import ANALYZE_MAX_N, main
 from gcdpairs.pairs import is_gcd_pair, iter_pairs
 
@@ -42,6 +43,17 @@ def _graph(n, edges):
         adjacency[a] |= 1 << b
         adjacency[b] |= 1 << a
     return GcdGraph(n, tuple(adjacency), frozenset())
+
+
+def _is_maximal(n, clique):
+    """Every v outside `clique` misses some member: math.gcd, not the masks."""
+
+    def pair(a, b):
+        d = math.gcd(a, b)
+        return d > 0 and n % d == 0
+
+    members = sorted(clique)
+    return all(any(not pair(v, w) for w in members) for v in range(n) if v not in clique)
 
 
 def _dot(capsys, n):
@@ -124,8 +136,14 @@ def test_domination_examples():
 
 
 def test_triangle_examples():
+    # G_1 and G_2 have fewer than three vertices, and G_3 lacks the edge {0, 2}
     assert has_triangle(build(3)) is None
     assert has_triangle(build(2)) is None
+    assert has_triangle(build(1)) is None
+    assert (0, 2) not in build(3).simple_edges
+    # the answer below n = 4 reads g: G_3 with {0, 2} added has the triangle
+    edited = _graph(3, [(0, 1), (1, 2), (0, 2)])
+    assert has_triangle(edited) == PathWitness(vertices=(0, 1, 2), closed=True)
     four = has_triangle(build(4))
     assert four is not None and four.vertices == (1, 2, 3) and four.closed
     ten = has_triangle(build(10))
@@ -196,7 +214,7 @@ def test_max_clique_examples():
     assert len(seven.vertices) == 4
     eight = max_clique(build(8))
     assert sorted(eight.vertices) == [1, 2, 3, 4, 5, 7]
-    assert eight.maximal
+    assert _is_maximal(8, eight.vertices)
     # maximum: the exhaustive oracle finds no larger clique
     assert len(oracle.exhaustive_max_clique(build(8)).vertices) == len(eight.vertices)
 
@@ -227,9 +245,9 @@ def test_max_clique_witnesses_past_the_oracle_bound():
 def test_clique_construction_examples():
     eight = clique_construction(build(8))
     assert sorted(eight.vertices) == [1, 2, 3, 4, 5, 7]
-    assert eight.maximal
-    # the witness claims maximality only; max_clique is the exact search
-    assert [f.name for f in dataclasses.fields(eight)] == ["vertices", "maximal"]
+    assert _is_maximal(8, eight.vertices)
+    # the witness is its vertices only; max_clique is the exact search
+    assert [f.name for f in dataclasses.fields(eight)] == ["vertices"]
     two = clique_construction(build(2))
     assert sorted(two.vertices) == [0, 1]
     six = clique_construction(build(6))
@@ -241,7 +259,37 @@ def test_clique_construction_two_prime_product_keeps_one_power():
     # q > p^2 here, so only p^2 from the advertised power chain survives
     twenty_two = clique_construction(build(22))
     assert sorted(twenty_two.vertices) == [1, 2, 3, 4, 5, 7, 11, 13, 17, 19]
-    assert twenty_two.maximal
+    assert _is_maximal(22, twenty_two.vertices)
+
+
+def test_clique_construction_gives_the_paper_families():
+    # {1} + primes + {p^2, ..., p^(k-1)} for n = p^k, {1} + primes + {p^2} for
+    # n = pq with p < q, and {0, 1} for n = 2: one greedy rule yields all three
+    assert clique_construction(build(2)).vertices == {0, 1}
+    shapes = set()
+    for n in range(3, 601):
+        factors = factorize(n)
+        base = {1, *primes_below(n)}
+        if len(factors) == 1:
+            [(p, k)] = factors
+            expected = base | {p**j for j in range(2, k)}
+        elif [k for _, k in factors] == [1, 1]:
+            expected = base | {factors[0][0] ** 2}
+        else:
+            continue
+        shapes.add(len(factors))
+        assert clique_construction(build(n)).vertices == expected, n
+    assert shapes == {1, 2}
+
+
+def test_clique_construction_refuses_a_member_that_misses_another():
+    # 2 and 3 both start the clique of G_6; without the edge {2, 3} it fails
+    g = build(6)
+    adjacency = list(g.adjacency)
+    adjacency[2] &= ~(1 << 3)
+    adjacency[3] &= ~(1 << 2)
+    with pytest.raises(AssertionError, match="n=6"):
+        clique_construction(GcdGraph(6, tuple(adjacency), g.loops))
 
 
 @given(st.integers(2, 300))
@@ -255,7 +303,7 @@ def test_clique_construction_valid_and_maximal(n):
         for b in members[i + 1 :]:
             d = math.gcd(a, b)
             assert d > 0 and n % d == 0
-    assert witness.maximal
+    assert _is_maximal(n, witness.vertices)
     if n <= 64:
         assert len(max_clique(g).vertices) >= len(primes_below(n)) + 1
 

@@ -158,11 +158,16 @@ def test_nontrivial_divisors_by_trial_division():
 def test_primes_below_examples():
     assert primes_below(6) == [2, 3, 5]
     assert primes_below(8) == [2, 3, 5, 7]
-    assert primes_below(2) == []
+    # x <= 2 ends the recursion through smallest_prime_factors
+    for x in (-2, -1, 0, 1, 2):
+        assert primes_below(x) == [], x
+    assert primes_below(3) == [2]
 
 
 def test_primes_below_against_is_prime():
-    assert primes_below(500) == [p for p in range(2, 500) if is_prime(p)]
+    assert primes_below(5000) == [p for p in range(2, 5000) if is_prime(p)]
+    for x in range(3, 200):
+        assert primes_below(x) == [p for p in range(2, x) if is_prime(p)], x
 
 
 def test_is_prime_small():
