@@ -40,9 +40,10 @@ FORMULA_MAX_N = 10**9
 # closed form: 200000 and the prime 199999 take about 1 s and 19 MB (2-vCPU VM).
 ENUMERATE_MAX_N = 200_000
 # The largest n that list, graph --json and graph --dot take. Each row is n cells:
-# at n = 10^7 list --subset 0,1 takes 0.24 s and 53 MB, and over the first 10^9
-# bytes the full rows peak near 0.7 GB as list text and 1.4 GB as JSON (2-vCPU VM).
+# at n = 10^7 list --subset 0,1 takes 0.3 s and 57 MB, and over the first 10^9
+# bytes the full rows peak near 0.43 GB as list text and 0.55 GB as JSON (2-vCPU VM).
 ROW_WALK_MAX_N = 10_000_000
+_SLICE = 1 << 16  # the most records _write_rows builds into one block
 # The largest n that graph --analyze takes. build holds n masks of n bits, so
 # memory grows as n^2: 19992 takes about 2.1 s and 90 MB on a 2-vCPU VM.
 ANALYZE_MAX_N = 20_000
@@ -147,8 +148,8 @@ def _write_rows(out, bound: int, rows, head: str, tail: str, sep: str = "") -> i
 
     A record is built in numpy, not per pair in Python: the b part is one
     fixed-width void item from a table per digit width, and each row's run of
-    one width is a structured array (head, b), written as soon as it is built
-    and decoded straight off its buffer."""
+    one width is built as structured arrays (head, b) of at most _SLICE records,
+    each written as soon as it is built and decoded straight off its buffer."""
     starts, tables = [], []  # tables[i] holds "b" + tail for the b >= starts[i] with i + 1 digits
     ends = np.frombuffer(tail.encode(), np.uint8)
     lo, width = 0, 1
@@ -166,16 +167,14 @@ def _write_rows(out, bound: int, rows, head: str, tail: str, sep: str = "") -> i
     bounds = starts + [bound]
     count = 0
     skip = len(sep)  # the bytes of the first block not to write: the first record's sep
-    for a, row in rows:
-        if not row.size:
-            continue
+    for a, row in rows:  # an empty row cuts no block
         head_item = np.void((sep + head % a).encode())
         cuts = np.searchsorted(row, bounds).tolist()
         for table, lo, i, j in zip(tables, starts, cuts, cuts[1:]):
-            if i < j:
-                block = np.empty(j - i, [("head", head_item.dtype), ("b", table.dtype)])
+            for s in range(i, j, _SLICE):
+                block = np.empty(min(_SLICE, j - s), [("head", head_item.dtype), ("b", table.dtype)])
                 block["head"] = head_item
-                block["b"] = np.take(table, row[i:j] - lo)
+                block["b"] = np.take(table, row[s : s + block.size] - lo)
                 out.write(str(memoryview(block).cast("B")[skip:], "ascii"))
                 skip = 0
         count += row.size

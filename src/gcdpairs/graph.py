@@ -4,14 +4,16 @@ Simple edges and loops are stored separately: each vertex a has one int
 bitmask whose bit b is set when {a, b} is a simple edge, and a loop sits at
 every a >= 1 with a | n (gcd(a, a) = a), but coloring and planarity ignore
 loops. All witness-returning searches break ties lexicographically so outputs
-are deterministic and golden-testable. clique_construction is one greedy rule
-for every n, so its witness is maximal by construction and carries no flag.
+are deterministic and golden-testable.
 
 Planarity is Euler's edge bound, which rejects every non-planar G_n, then the
 exact oracle.dmp_planar for the rest: among the G_n, n in {1, ..., 5, 7}.
 
-Exact searches (maximum clique; chromatic number, a certified first-fit) carry
-fixed input bounds and raise ExactSearchBoundError beyond them. A fixed witness
+The clique number omega and chromatic number chi have one certificate and no
+search: clique_construction's greedy clique C and the first-fit coloring give
+|C| <= omega <= chi <= its color count, so equal ends prove omega = chi = |C|.
+max_clique, a branch and bound, is verify's independent search. Exact fields
+carry fixed input bounds (ExactSearchBoundError beyond them). A fixed witness
 that fails its check on the masks raises AssertionError: a regression, which
 verify reports as FAIL and the CLI as an internal check failure.
 """
@@ -198,12 +200,16 @@ def longest_cycle_constructive(g: GcdGraph) -> PathWitness:
     return _validate_path(g, PathWitness(vertices=tuple(range(1, g.n)), closed=True))
 
 
-def _first_max_clique(g: GcdGraph) -> int:
-    """Mask of the lexicographically smallest maximum clique: branch and bound
-    over ascending candidates with a greedy-coloring upper bound (Carraghan and
-    Pardalos, Oper. Res. Lett. 9, 1990). Cliques are met in lexicographic
-    order and one is kept only when strictly larger, so the first maximum met
-    is the one kept."""
+def max_clique(g: GcdGraph) -> CliqueWitness:
+    """Exact maximum clique: branch and bound over ascending candidates with a
+    greedy-coloring upper bound (Carraghan and Pardalos, Oper. Res. Lett. 9,
+    1990). Cliques are met in lexicographic order and one is kept only when
+    strictly larger, so the witness is the lexicographically smallest maximum
+    clique. verify's independent search; analyze reads the certificate."""
+    if g.n > MAX_CLIQUE_EXACT_N:
+        raise ExactSearchBoundError(
+            f"max_clique bounded at n <= {MAX_CLIQUE_EXACT_N}, got {g.n}"
+        )
     adj = g.adjacency
     best = best_clique = 0
 
@@ -224,25 +230,15 @@ def _first_max_clique(g: GcdGraph) -> int:
             bb(clique | 1 << v, size + 1, adj[v] & rest)
 
     bb(0, 0, (1 << g.n) - 1)
-    return best_clique
-
-
-def max_clique(g: GcdGraph) -> CliqueWitness:
-    """Exact maximum clique, certified by branch and bound; the witness is the
-    lexicographically smallest maximum clique."""
-    if g.n > MAX_CLIQUE_EXACT_N:
-        raise ExactSearchBoundError(
-            f"max_clique bounded at n <= {MAX_CLIQUE_EXACT_N}, got {g.n}"
-        )
-    return CliqueWitness(vertices=frozenset(_bits(_first_max_clique(g))))
+    return CliqueWitness(vertices=frozenset(_bits(best_clique)))
 
 
 def clique_construction(g: GcdGraph) -> CliqueWitness:
     """The greedy clique of G_n, n = g.n >= 2: from C0 = {1} + the primes
     below n, add in ascending order each vertex adjacent to the whole clique
     so far; a member of C0 that fails the same mask test raises AssertionError.
-    Maximal, as a skipped vertex missed a member and the clique only grows; not
-    necessarily maximum (max_clique is). A v outside C0 that joins has only
+    Maximal, as a skipped vertex missed a member and the clique only grows; the
+    lower bound of the omega/chi certificate. A v outside C0 that joins has only
     primes dividing n (each prime r of v is in C0, and gcd(v, r) = r), and 0
     joins only at n = 2. So n = p^k gets p^2, ..., p^(k-1), and n = pq, p < q,
     gets p^2 and then no p^3 < pq, since gcd(p^3, p^2) = p^2 does not divide pq.
@@ -277,19 +273,26 @@ def greedy_coloring(g: GcdGraph, order: Iterable[int] | None = None) -> Coloring
     return ColoringWitness(colors=colors, color_count=len(classes))
 
 
+def _certificate(g: GcdGraph) -> tuple[int, ColoringWitness]:
+    """(|C|, first-fit in natural order) for the clique C of clique_construction
+    (C = {0} in G_1); AssertionError when they differ at n <= MAX_CLIQUE_EXACT_N,
+    where analyze reports them as exact."""
+    order = len(clique_construction(g).vertices) if g.n > 1 else 1
+    greedy = greedy_coloring(g)
+    if order != greedy.color_count and g.n <= MAX_CLIQUE_EXACT_N:
+        raise AssertionError(f"G_{g.n}: first-fit {greedy.color_count} colors, clique {order}")
+    return order, greedy
+
+
 def chromatic_number(g: GcdGraph) -> ColoringWitness:
     """Exact chromatic number (loops ignored): first-fit in natural order,
-    certified by omega <= chi <= first-fit when its color count equals the
-    maximum clique's order, and an AssertionError when they differ. Color
-    classes are numbered by first appearance over 0..n-1."""
+    certified by _certificate. Color classes are numbered by first appearance
+    over 0..n-1."""
     if g.n > MAX_CHROMATIC_EXACT_N:
         raise ExactSearchBoundError(
             f"chromatic_number bounded at n <= {MAX_CHROMATIC_EXACT_N}, got {g.n}"
         )
-    greedy, omega = greedy_coloring(g), _first_max_clique(g).bit_count()
-    if greedy.color_count != omega:
-        raise AssertionError(f"first-fit: {greedy.color_count} colors, omega {omega} in G_{g.n}")
-    return greedy
+    return _certificate(g)[1]
 
 
 def is_planar(g: GcdGraph) -> bool:
@@ -307,8 +310,9 @@ def is_planar(g: GcdGraph) -> bool:
 
 
 def analyze(g: GcdGraph) -> tuple[dict, list[str]]:
-    """Invariant summary for the CLI's graph report; exact fields outside the
-    search bounds come back None with an explanatory note."""
+    """Invariant summary for the CLI's graph report. omega and chi come from
+    _certificate; outside the exact-search bounds they come back None with a
+    note giving the construction's order and the first-fit count."""
     notes: list[str] = []
     if g.n == 1:
         invariants = {
@@ -322,22 +326,18 @@ def analyze(g: GcdGraph) -> tuple[dict, list[str]]:
             "planar": True,
         }
         return invariants, notes
-    clique_number: int | None = None
-    if g.n <= MAX_CLIQUE_EXACT_N:
-        clique_number = len(max_clique(g).vertices)
-    else:
+    order, greedy = _certificate(g)
+    clique_number = order if g.n <= MAX_CLIQUE_EXACT_N else None
+    chromatic = greedy.color_count if g.n <= MAX_CHROMATIC_EXACT_N else None
+    if clique_number is None:
         notes.append(
             f"clique_number: exact search skipped (n > {MAX_CLIQUE_EXACT_N}); "
-            f"construction gives a maximal clique of order "
-            f"{len(clique_construction(g).vertices)}"
+            f"construction gives a maximal clique of order {order}"
         )
-    chromatic: int | None = None
-    if g.n <= MAX_CHROMATIC_EXACT_N:
-        chromatic = chromatic_number(g).color_count
-    else:
+    if chromatic is None:
         notes.append(
             f"chromatic_number: exact search skipped (n > {MAX_CHROMATIC_EXACT_N}); "
-            f"greedy upper bound = {greedy_coloring(g).color_count}"
+            f"greedy upper bound = {greedy.color_count}"
         )
     invariants = {
         "connected": is_connected(g),

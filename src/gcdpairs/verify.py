@@ -491,6 +491,10 @@ def _is_ring_clique(n: int, vertices: list[int]) -> bool:
     return all(_ring_pair(n, a, b) for a, b in combinations(vertices, 2))
 
 
+def _is_maximal(n: int, clique: list[int]) -> bool:  # each v outside misses a member
+    return all(any(not _ring_pair(n, v, w) for w in clique) for v in range(n) if v not in clique)
+
+
 @cache
 def _observed_omega(n: int) -> int:
     g = _graph(n)
@@ -515,9 +519,7 @@ def _claim_clique_two_prime(limit: int) -> Outcome:
         claimed = m + k + 2
         claimed_set = sorted({1, *primes_below(n), *(p**j for j in range(2, k + 1))})
         valid = _is_ring_clique(n, claimed_set)
-        maximal = valid and not any(
-            _is_ring_clique(n, claimed_set + [v]) for v in range(n) if v not in claimed_set
-        )
+        maximal = valid and _is_maximal(n, claimed_set)
         observed = _observed_omega(n)
         constructed = len(clique_construction(_graph(n)).vertices)
         if valid and maximal and len(claimed_set) == claimed and observed >= claimed:
@@ -553,9 +555,7 @@ def _claim_clique_prime_power(limit: int) -> Outcome:
     for checked, n in enumerate(pps, 1):
         expected = _prime_power_clique_order(n)
         witness = sorted(clique_construction(_graph(n)).vertices)
-        maximal = all(
-            any(not _ring_pair(n, v, w) for w in witness) for v in range(n) if v not in witness
-        )
+        maximal = _is_maximal(n, witness)
         if len(witness) != expected or not maximal:
             detail = f"construction order {len(witness)} (maximal={maximal}) != {expected} at n={n}"
             return Status.FAIL, detail, checked

@@ -570,6 +570,11 @@ GRAPH_DIGESTS = {
     ("30", "--json"): "8962d58cff2ded41605b441e3f539b9dde765a21043a72cbdfe561220347c786",
     ("30", "--dot", "-"): "08f843b4d60a388bece31deaed529a323889d6c6d433dc241aead0de1e072b25",
     ("30", "--analyze", "--json"): "995130a661beb9624f336e8010c2671a79c1760a6ceb7b0336c3359d14cb805a",
+    # the exact-field bounds (chromatic 16, clique 64), recorded when analyze
+    # ran the branch and bound for both fields
+    ("16", "--analyze", "--json"): "c28b6990e7ade4a25ec0c725396e62d8ab3c7d6f38ab9d8f20a80d13ab0cbab8",
+    ("17", "--analyze", "--json"): "a2286e7886f7f0a6b5a295c9c27366fed84471cb1e79f93cba1142ffd74003f3",
+    ("64", "--analyze", "--json"): "9e5c3e202e99a872151218dde643d47370fadb7a10a9989431986ec7ef11f3c4",
     # past the clique bound, recorded when clique_construction(n) re-derived
     # adjacency pair by pair with is_gcd_pair
     ("100", "--analyze", "--json"): "a92040a8eca6f6cdbadcfb2d9925acf55ddd9e8801557ee09f547744dfed92f9",
@@ -629,6 +634,22 @@ def test_list_output_digests(capsys):
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
+
+def test_row_writer_slices_change_no_byte(capsys, monkeypatch):
+    # no row of these reaches a 2^16-record slice, so shrink the slice until
+    # every width block is cut, at and off the block's ends
+    commands = [
+        ("list", "60"),
+        ("list", "120", "--json"),
+        ("list", "60", "--subset", "units"),
+        ("list", "2", "--subset", "units", "--json"),
+        ("graph", "12", "--json"),
+        ("graph", "30", "--dot", "-"),
+    ]
+    whole = [run(capsys, *argv) for argv in commands]
+    for size in (1, 2, 7):
+        monkeypatch.setattr(gcdpairs.cli, "_SLICE", size)
+        assert [run(capsys, *argv) for argv in commands] == whole, size
 
 
 # stdout sha256 of `gcdpairs verify ...`, recorded when the claims were listed

@@ -304,7 +304,10 @@ def test_clique_construction_valid_and_maximal(n):
             d = math.gcd(a, b)
             assert d > 0 and n % d == 0
     assert _is_maximal(n, witness.vertices)
+    # the certificate: |C| <= omega <= chi <= first-fit, and the ends meet
+    assert len(witness.vertices) == greedy_coloring(g).color_count
     if n <= 64:
+        assert len(max_clique(g).vertices) == len(witness.vertices)
         assert len(max_clique(g).vertices) >= len(primes_below(n)) + 1
 
 
@@ -333,8 +336,19 @@ def test_chromatic_witness_is_proper_and_canonical():
 
 def test_chromatic_number_refuses_an_uncertified_coloring():
     # the path 0-2-3-1: first-fit in natural order needs 3 colors, omega is 2
+    # (the construction's start {1, 2, 3} is no clique, so it refuses first)
     with pytest.raises(AssertionError):
         chromatic_number(_graph(4, [(0, 2), (2, 3), (3, 1)]))
+    # {1, 2, 3, 5} is a clique the construction accepts and omega = 4, but
+    # first-fit gives vertices 0..5 the colors 0, 1, 2, 0, 3, 4: five colors
+    edges = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (0, 4), (1, 4), (2, 4)]
+    six = _graph(6, edges + [(1, 5), (2, 5), (3, 5), (4, 5)])
+    assert len(clique_construction(six).vertices) == 4
+    assert len(oracle.exhaustive_max_clique(six).vertices) == 4
+    with pytest.raises(AssertionError, match="G_6: first-fit 5 colors, clique 4"):
+        chromatic_number(six)
+    with pytest.raises(AssertionError, match="G_6"):
+        analyze(six)
 
 
 def test_chromatic_bound_error_and_greedy_mode():
@@ -435,6 +449,24 @@ def test_analyze_reports():
     invariants7, _ = analyze(build(7))
     assert invariants7["chromatic_number"] == 4
     assert invariants7["planar"] and not invariants7["hamiltonian"]
+
+
+# sha256 of repr([analyze(build(n)) for n in 1..64]), recorded when analyze ran
+# max_clique for n <= 64 and chromatic_number for n <= 16
+ANALYZE_1_TO_64 = "16266a0a5daaec6b7db79723f68b36c978e31de1436af9a416d8d97c19cb76ce"
+
+
+def test_analyze_runs_no_exact_search(monkeypatch):
+    # the certificate alone gives both exact fields up to their bounds
+    import gcdpairs.graph as graph
+
+    def refuse(g):
+        raise AssertionError(f"exact search called on G_{g.n}")
+
+    monkeypatch.setattr(graph, "max_clique", refuse)
+    monkeypatch.setattr(graph, "chromatic_number", refuse)
+    reports = [analyze(build(n)) for n in range(1, 65)]
+    assert hashlib.sha256(repr(reports).encode()).hexdigest() == ANALYZE_1_TO_64
 
 
 def test_analyze_outside_bounds_gives_null_with_note():
