@@ -45,7 +45,7 @@ ENUMERATE_MAX_N = 200_000
 ROW_WALK_MAX_N = 10_000_000
 _SLICE = 1 << 16  # the most records _write_rows builds into one block
 # The largest n that graph --analyze takes. build holds n masks of n bits, so
-# memory grows as n^2: 19992 takes about 2.1 s and 90 MB on a 2-vCPU VM.
+# memory grows as n^2: 19992 takes about 1.6 s and 76 MB on a 2-vCPU VM.
 ANALYZE_MAX_N = 20_000
 
 _EPILOG = f"""\

@@ -59,10 +59,10 @@ def is_gcd_pair(n: int, x: int, y: int) -> bool:
 
 
 def row_masks(n: int, rows: Sequence[int] | None = None) -> Iterator[tuple[int, np.ndarray]]:
-    """(a, row) for each a of the ascending `rows` (every a < n by default):
-    the length-n row[b] is true exactly when {a, b} is a gcd-pair; the a = 0
-    row marks the divisors of n. Row a clears the multiples of each m of
-    _moduli(n, a), and the factor table reaches the last row."""
+    """(a, row) for each a of the ascending `rows` (every a < n by default), as
+    pair_rows reads them: the length-n row[b] is true exactly when {a, b} is a
+    gcd-pair; the a = 0 row marks the divisors of n. Row a clears the multiples
+    of each m of _moduli(n, a), and the factor table reaches the last row."""
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
     rows = range(n) if rows is None else rows

@@ -518,8 +518,9 @@ def test_graph_counts_its_edges_in_closed_form(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("enumerated the pairs")
 
-    for owner, name in ((cli, "count_pairs"), (cli, "pair_rows"), (graph, "row_masks"),
-                        (pairs, "count_pairs"), (pairs, "row_masks")):
+    # build reads graph._moduli and row_masks pairs._moduli, so both walk rows
+    for owner, name in ((cli, "count_pairs"), (cli, "pair_rows"), (graph, "_moduli"),
+                        (pairs, "count_pairs"), (pairs, "row_masks"), (pairs, "_moduli")):
         monkeypatch.setattr(owner, name, refuse)
     code, out, _ = run(capsys, "graph", "200000")
     assert (code, out) == (0, "G_200000: 200000 vertices, 16885746575 edges, 41 loops\n")
@@ -834,6 +835,32 @@ def test_count_runs_without_numpy():
         "formula total: = 27850812587 (exact, prime-power-formula)\n",
         "formula zero divisors: = 6962678997 (exact, prime-power-reduction)\n",
     ])
+
+
+def test_graph_runs_without_numpy(capsys):
+    # build packs each row's int mask straight from the moduli; n = 7 is planar
+    # by oracle.dmp_planar, and graph 200000 prints its closed-form summary
+    argvs = [["graph", str(n), "--analyze"] for n in (1, 7, 64, 2000)] + [["graph", "200000"]]
+    check = (
+        "import contextlib, io, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from gcdpairs import cli\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "    print(out.getvalue(), end='')\n"
+        "assert sys.modules['numpy'] is None\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", check], env=_subprocess_env(), capture_output=True, text=True,
+        check=True, timeout=60,
+    ).stdout
+    expected = []
+    for argv in argvs:
+        code, text, _ = run(capsys, *argv)
+        assert code == 0, argv
+        expected.append(text)
+    assert out == "".join(expected)
 
 
 def test_np_binding_hands_out_numpy_itself():

@@ -34,7 +34,7 @@ from gcdpairs.graph import (
 )
 from gcdpairs.numtheory import divisors, factorize, phi_sieve, primes_below
 from gcdpairs.cli import ANALYZE_MAX_N, main
-from gcdpairs.pairs import is_gcd_pair, iter_pairs
+from gcdpairs.pairs import is_gcd_pair, iter_pairs, row_masks
 
 
 def _graph(n, edges):
@@ -89,6 +89,21 @@ def test_build_matches_pair_set():
         for a in range(n):
             expected = sum(1 << b for b in range(n) if b != a and is_gcd_pair(n, a, b))
             assert g.adjacency[a] == expected, (n, a)
+
+
+def test_build_matches_packed_row_masks():
+    # the numpy construction build replaced, kept as the reference: each full
+    # row_masks row, its loop cell recorded and cleared, packed little-endian
+    for n in (997, 1024, 2000, 2310, 4096, 5040):
+        g = build(n)
+        loops = set()
+        for a, row in row_masks(n):
+            if row[a]:
+                loops.add(a)
+                row[a] = False
+            packed = numpy.packbits(row, bitorder="little").tobytes()
+            assert g.adjacency[a] == int.from_bytes(packed, "little"), (n, a)
+        assert g.loops == loops, n
 
 
 def test_graph_stores_masks_and_counts_edges():
