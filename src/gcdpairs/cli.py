@@ -39,11 +39,11 @@ FORMULA_MAX_N = 10**9
 # The largest n that count enumerates. count_pairs counts each of the n rows in
 # closed form: 200000 and the prime 199999 take about 1 s and 19 MB (2-vCPU VM).
 ENUMERATE_MAX_N = 200_000
-# The largest n that list, graph --json and graph --dot take. Each row is n cells:
-# at n = 10^7 list --subset 0,1 takes 0.3 s and 57 MB, and over the first 10^9
-# bytes the full rows peak near 0.43 GB as list text and 0.55 GB as JSON (2-vCPU VM).
+# The largest n that list, graph --json and graph --dot take. Row a is n - a cells:
+# at n = 10^7 list --subset 0,1 takes 0.2 s and 57 MB, and over the first 10^9
+# bytes the rows peak near 171 MB as list text and 209 MB as JSON (2-vCPU VM).
 ROW_WALK_MAX_N = 10_000_000
-_SLICE = 1 << 16  # the most records _write_rows builds into one block
+_SLICE = 1 << 16  # the most cells _write_rows reads into one block
 # The largest n that graph --analyze takes. build holds n masks of n bits, so
 # memory grows as n^2: 19992 takes about 1.6 s and 76 MB on a 2-vCPU VM.
 ANALYZE_MAX_N = 20_000
@@ -143,41 +143,42 @@ def _parse_subset(n: int, text: str) -> tuple[str, np.ndarray | None]:
 
 def _write_rows(out, bound: int, rows, head: str, tail: str, sep: str = "") -> int:
     """Write a record sep + head % a + the digits of b + tail to `out` for each
-    (a, bs) of `rows` and each b of the ascending int array bs (all b < bound),
-    with no sep before the first record; return the number of records.
+    (a, flags) of the pair_rows `rows` and each b = a + i with flags[i] true
+    (all b < bound), with no sep before the first record; return the number
+    of records.
 
     A record is built in numpy, not per pair in Python: the b part is one
-    fixed-width void item from a table per digit width, and each row's run of
-    one width is built as structured arrays (head, b) of at most _SLICE records,
-    each written as soon as it is built and decoded straight off its buffer."""
-    starts, tables = [], []  # tables[i] holds "b" + tail for the b >= starts[i] with i + 1 digits
+    fixed-width void item from a table per digit width, and each row is walked
+    through each table in slices of at most _SLICE cells. A slice's flagged
+    records go into one structured array (head, b), written as soon as it is
+    built and decoded straight off its buffer."""
+    tables = []  # (lo, hi, the "b" + tail items for the b in [lo, hi), all of one width)
     ends = np.frombuffer(tail.encode(), np.uint8)
     lo, width = 0, 1
     while lo < bound:
         hi = min(10**width, bound)
-        starts.append(lo)
         items = np.empty((hi - lo, width + ends.size), np.uint8)
         items[:, width:] = ends
-        b = np.arange(lo, hi, dtype=np.min_scalar_type(hi))
-        for k in reversed(range(width)):
-            items[:, k] = b % 10 + ord("0")
-            b //= 10
-        tables.append(items.view(f"V{items.shape[1]}").ravel())
+        for s in range(lo, hi, _SLICE):  # in slices, so b and b % 10 stay small
+            b = np.arange(s, min(s + _SLICE, hi), dtype=np.min_scalar_type(hi))
+            for k in reversed(range(width)):
+                items[s - lo : s - lo + b.size, k] = b % 10 + ord("0")
+                b //= 10
+        tables.append((lo, hi, items.view(f"V{items.shape[1]}").ravel()))
         lo, width = hi, width + 1
-    bounds = starts + [bound]
     count = 0
     skip = len(sep)  # the bytes of the first block not to write: the first record's sep
-    for a, row in rows:  # an empty row cuts no block
+    for a, flags in rows:
         head_item = np.void((sep + head % a).encode())
-        cuts = np.searchsorted(row, bounds).tolist()
-        for table, lo, i, j in zip(tables, starts, cuts, cuts[1:]):
-            for s in range(i, j, _SLICE):
-                block = np.empty(min(_SLICE, j - s), [("head", head_item.dtype), ("b", table.dtype)])
-                block["head"] = head_item
-                block["b"] = np.take(table, row[s : s + block.size] - lo)
-                out.write(str(memoryview(block).cast("B")[skip:], "ascii"))
-                skip = 0
-        count += row.size
+        for lo, hi, table in tables:  # bound <= n = a + flags.size
+            for s in range(max(lo, a), hi, _SLICE):
+                e = min(s + _SLICE, hi)
+                records = table[s - lo : e - lo][flags[s - a : e - a]]
+                if records.size:  # an empty block would spend the first record's skip
+                    block = np.empty(records.size, [("head", head_item.dtype), ("b", table.dtype)])
+                    block["head"], block["b"] = head_item, records
+                    out.write(str(memoryview(block).cast("B")[skip:], "ascii"))
+                    skip, count = 0, count + records.size
     return count
 
 
@@ -193,8 +194,10 @@ def _write_json(out, bound: int, fields: dict, key: str, rows, rest: dict | None
 
 
 def _edges(n: int):
-    """The rows of G_n's edges: pair_rows without the {a, a} loops."""
-    return ((a, bs[bs > a]) for a, bs in pair_rows(n))
+    """The rows of G_n's edges: pair_rows with each {a, a} loop cell cleared."""
+    for a, flags in pair_rows(n):
+        flags[0] = False
+        yield a, flags
 
 
 def cmd_list(args: argparse.Namespace) -> int:

@@ -58,26 +58,6 @@ def is_gcd_pair(n: int, x: int, y: int) -> bool:
     return g > 0 and n % g == 0
 
 
-def row_masks(n: int, rows: Sequence[int] | None = None) -> Iterator[tuple[int, np.ndarray]]:
-    """(a, row) for each a of the ascending `rows` (every a < n by default), as
-    pair_rows reads them: the length-n row[b] is true exactly when {a, b} is a
-    gcd-pair; the a = 0 row marks the divisors of n. Row a clears the multiples
-    of each m of _moduli(n, a), and the factor table reaches the last row."""
-    if n < 1:
-        raise ValueError(f"modulus must be >= 1, got {n}")
-    rows = range(n) if rows is None else rows
-    spf = smallest_prime_factors(int(rows[-1]) if len(rows) else 0)
-    ones = np.ones(n, dtype=bool)  # a copy per row costs less than np.ones
-    for a in map(int, rows):
-        if a == 0:
-            yield 0, residue_mask(n, divisors(n)[:-1])
-            continue
-        row = ones.copy()
-        for m in _moduli(n, a, spf):
-            row[::m] = False
-        yield a, row
-
-
 def _moduli(n: int, a: int, spf: Sequence[int]) -> Iterator[int]:
     """The pairwise coprime m = p^(v_p(n) + 1) for the primes p of a / gcd(a, n),
     those with v_p(a) > v_p(n), read off the least-prime-factor table spf:
@@ -94,12 +74,27 @@ def _moduli(n: int, a: int, spf: Sequence[int]) -> Iterator[int]:
 
 
 def pair_rows(n: int, within: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
-    """(a, the ascending int array of the b >= a with {a, b} a gcd-pair of
-    Z_n) for each a flagged in the length-n bool array `within` (all of them
-    by default), with only the flagged b. Only the yielded rows are sieved."""
-    flagged = None if within is None else np.flatnonzero(within)
-    for a, row in row_masks(n, flagged):
-        yield a, np.flatnonzero(row[a:] if within is None else row[a:] & within[a:]) + a
+    """(a, flags) for each a flagged in the length-n bool array `within` (every
+    a < n by default): flags is a fresh bool array of length n - a whose cell i
+    is true exactly when {a, a + i} is a gcd-pair of Z_n and a + i is flagged.
+    Row 0 marks the divisors of n. Row a >= 1 clears every m-th cell from cell 0
+    for each m of _moduli(n, a), as m | a makes m | a + i exactly when m | i.
+    Only the yielded rows are sieved, and the factor table reaches the last."""
+    if n < 1:
+        raise ValueError(f"modulus must be >= 1, got {n}")
+    rows = range(n) if within is None else np.flatnonzero(within)
+    spf = smallest_prime_factors(int(rows[-1]) if len(rows) else 0)
+    ones = np.ones(n, dtype=bool)  # a copy per row costs less than np.ones
+    for a in map(int, rows):
+        if a == 0:
+            row = residue_mask(n, divisors(n)[:-1])
+        else:
+            row = ones[a:].copy()
+            for m in _moduli(n, a, spf):
+                row[::m] = False
+        if within is not None:
+            row &= within[a:]
+        yield a, row
 
 
 def residue_mask(n: int, residues: Iterable[int]) -> np.ndarray:
@@ -138,8 +133,8 @@ def count_pairs(n: int) -> tuple[int, int]:
 
 def iter_pairs(n: int) -> Iterator[tuple[int, int]]:
     """All gcd-pairs of Z_n in lexicographic order, streamed off pair_rows."""
-    for a, bs in pair_rows(n):
-        for b in bs.tolist():
+    for a, row in pair_rows(n):
+        for b in (np.flatnonzero(row) + a).tolist():
             yield (a, b)
 
 
@@ -157,7 +152,7 @@ def pair_total(n: int) -> int:
 def classify_elements(n: int) -> ElementClasses:
     """The units and the zero divisors of Z_n (n >= 2) as length-n bool arrays:
     the units clear every p-th cell from cell 0 for each prime p of n, as
-    row_masks does, and the rest but 0 are the zero divisors."""
+    pair_rows does, and the rest but 0 are the zero divisors."""
     if n < 2:
         raise ValueError(f"classify_elements requires n >= 2, got {n}")
     units = np.ones(n, dtype=bool)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from functools import lru_cache
@@ -518,9 +519,9 @@ def test_graph_counts_its_edges_in_closed_form(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("enumerated the pairs")
 
-    # build reads graph._moduli and row_masks pairs._moduli, so both walk rows
+    # build reads graph._moduli and pair_rows pairs._moduli, so both walk rows
     for owner, name in ((cli, "count_pairs"), (cli, "pair_rows"), (graph, "_moduli"),
-                        (pairs, "count_pairs"), (pairs, "row_masks"), (pairs, "_moduli")):
+                        (pairs, "count_pairs"), (pairs, "pair_rows"), (pairs, "_moduli")):
         monkeypatch.setattr(owner, name, refuse)
     code, out, _ = run(capsys, "graph", "200000")
     assert (code, out) == (0, "G_200000: 200000 vertices, 16885746575 edges, 41 loops\n")
@@ -1027,6 +1028,26 @@ def test_list_subset_sieves_only_its_rows(tmp_path):
     code, peak_kib = map(int, out.split())
     assert code == 0 and peak_kib < 150 * 1024, peak_kib
     assert stdout.read_text() == "{0,1}\n{1,1}\nThe number of gcd-pairs is 2\n"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB is Linux's")
+def test_row_walk_at_its_bound_in_flat_memory():
+    # int64 rows of the b >= a, and digit tables built a whole width at a time,
+    # peaked at 431 MB (list) and 386 MB (graph --json) over these first bytes;
+    # each child's own ru_maxrss, since RUSAGE_CHILDREN takes the largest of all
+    quiet = (os.POSIX_SPAWN_OPEN, 2, os.devnull, os.O_WRONLY, 0)
+    for argv in (["list", "10000000"], ["graph", "10000000", "--json"]):
+        r, w = os.pipe()
+        pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "gcdpairs", *argv],
+                             _subprocess_env(), file_actions=[(os.POSIX_SPAWN_DUP2, w, 1), quiet])
+        os.close(w)
+        with open(r, "rb") as out:
+            left = 3 * 10**8
+            while left > 0 and (chunk := out.read1(min(left, 1 << 20))):
+                left -= len(chunk)
+        os.kill(pid, signal.SIGKILL)
+        _, _, usage = os.wait4(pid, 0)
+        assert left == 0 and usage.ru_maxrss < 300 * 1024, (argv, usage.ru_maxrss)
 
 
 def test_list_of_no_zero_divisors_stays_small(tmp_path):

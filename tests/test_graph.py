@@ -32,9 +32,15 @@ from gcdpairs.graph import (
     max_clique,
     star_subgraph,
 )
-from gcdpairs.numtheory import divisors, factorize, phi_sieve, primes_below
+from gcdpairs.numtheory import (
+    divisors,
+    factorize,
+    phi_sieve,
+    primes_below,
+    smallest_prime_factors,
+)
 from gcdpairs.cli import ANALYZE_MAX_N, main
-from gcdpairs.pairs import is_gcd_pair, iter_pairs, row_masks
+from gcdpairs.pairs import _moduli, is_gcd_pair, iter_pairs, residue_mask
 
 
 def _graph(n, edges):
@@ -91,13 +97,29 @@ def test_build_matches_pair_set():
             assert g.adjacency[a] == expected, (n, a)
 
 
+def _row_masks(n):
+    """(a, the length-n bool row flagging the b with {a, b} a gcd-pair) for each
+    a < n, sieved in full: row 0 marks the divisors of n, and row a >= 1
+    clears the multiples of each m of _moduli(n, a)."""
+    spf = smallest_prime_factors(n - 1)
+    for a in range(n):
+        if a == 0:
+            yield 0, residue_mask(n, divisors(n)[:-1])
+            continue
+        row = numpy.ones(n, dtype=bool)
+        for m in _moduli(n, a, spf):
+            row[::m] = False
+        yield a, row
+
+
 def test_build_matches_packed_row_masks():
     # the numpy construction build replaced, kept as the reference: each full
-    # row_masks row, its loop cell recorded and cleared, packed little-endian
+    # row of the length-n sieve, its loop cell recorded and cleared, packed
+    # little-endian
     for n in (997, 1024, 2000, 2310, 4096, 5040):
         g = build(n)
         loops = set()
-        for a, row in row_masks(n):
+        for a, row in _row_masks(n):
             if row[a]:
                 loops.add(a)
                 row[a] = False

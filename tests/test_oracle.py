@@ -59,7 +59,7 @@ def test_row_counts_and_rows_equal_euclid_oracle_to_150():
         assert count_pairs(n) == (len(reference), among), n
         rows = pair_rows(n, units)
         among = oracle.naive_restricted_count(n, np.flatnonzero(units).tolist())
-        assert sum(len(bs) for _, bs in rows) == among, n
+        assert sum(np.count_nonzero(flags) for _, flags in rows) == among, n
 
 
 def test_naive_restricted_count():

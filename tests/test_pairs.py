@@ -61,6 +61,11 @@ def _flagged(within):
     return np.flatnonzero(within).tolist()
 
 
+def _row_pairs(rows):
+    """The pairs (a, b) of pair_rows' (a, flags) rows, b = a + i for each flagged cell i."""
+    return ((a, b) for a, flags in rows for b in (np.flatnonzero(flags) + a).tolist())
+
+
 def _listed(capsys, *argv):
     """The pairs `gcdpairs list argv` prints, parsed back from its text."""
     assert main(["list", *argv]) == 0
@@ -375,9 +380,9 @@ def test_prime_power_formula_sieves_once(monkeypatch):
 def test_row_masks_match_the_oracle_euclid_loop(n):
     # deep prime powers (3^5, 2^10), and rows whose a / gcd(a, n) carries
     # primes that do not divide n, or divide it to a lower power than a;
-    # each row covers all of Z_n, the cells b < a included
-    for a, row in pairs.row_masks(n):
-        expected = [(g := oracle._gcd(a, b)) > 0 and n % g == 0 for b in range(n)]
+    # each row covers the cells b >= a, so the rows cover every unordered pair
+    for a, row in pairs.pair_rows(n):
+        expected = [(g := oracle._gcd(a, b)) > 0 and n % g == 0 for b in range(a, n)]
         assert row.tolist() == expected, (n, a)
 
 
@@ -389,12 +394,13 @@ def test_prime_power_formula_returns_a_python_int():
 def test_row_masks_sieve_exactly_the_rows_asked_for():
     # the rows of a subset, including row 0 (the divisors) and row n - 1
     for n in (1, 2, 360, 1001, 2310):
-        full = dict(pairs.row_masks(n))
+        full = dict(pairs.pair_rows(n))
         for rows in ([], [0], [n - 1], sorted({0, 1 % n, n // 2, n - 1}), list(range(n % 7, n, 7))):
-            got = list(pairs.row_masks(n, rows))
+            within = residue_mask(n, rows)
+            got = list(pairs.pair_rows(n, within))
             assert [a for a, _ in got] == rows, (n, rows)
             for a, row in got:
-                assert np.array_equal(row, full[a]), (n, a)
+                assert np.array_equal(row, full[a] & within[a:]), (n, a)
 
 
 def test_row_masks_size_the_factor_table_to_the_last_row(monkeypatch):
@@ -406,7 +412,7 @@ def test_row_masks_size_the_factor_table_to_the_last_row(monkeypatch):
 
     monkeypatch.setattr(pairs, "smallest_prime_factors", counted)
     for rows in (None, [0, 7, 100], [], [0]):
-        list(pairs.row_masks(360, rows))
+        list(pairs.pair_rows(360, None if rows is None else residue_mask(360, rows)))
     assert limits == [359, 100, 0, 0]
 
 
@@ -415,23 +421,22 @@ def test_pair_rows_equal_the_definition_restricted_to_a_subset():
         subsets = [residue_mask(n, s) for s in ((), {0}, {0, 1 % n, n - 1})]
         if n >= 2:
             subsets += list(classify_elements(n))  # the units and the zero divisors
-        assert [(a, b) for a, bs in pairs.pair_rows(n) for b in bs.tolist()] == list(
-            _naive_pairs(n)
-        ), n
+        assert list(_row_pairs(pairs.pair_rows(n))) == list(_naive_pairs(n)), n
         for within in subsets:
             rows = list(pairs.pair_rows(n, within))
             assert [a for a, _ in rows] == _flagged(within), (n, _flagged(within))
-            got = tuple((a, b) for a, bs in rows for b in bs.tolist())
+            got = tuple(_row_pairs(rows))
             assert got == _restricted(_naive_pairs(n), within), (n, _flagged(within))
 
 
-def test_row_masks_are_full_rows():
+def test_pair_rows_are_fresh_bool_rows_from_a():
+    # a row owns its cells, so a reader may clear them
     for n in (1, 2, 12, 35, 64):
-        rows = list(pairs.row_masks(n))
+        rows = list(pairs.pair_rows(n))
         assert [a for a, _ in rows] == list(range(n))
         for a, row in rows:
-            assert row.dtype == np.bool_ and len(row) == n
-            assert row.tolist() == [is_gcd_pair(n, a, b) for b in range(n)], (n, a)
+            assert row.dtype == np.bool_ and len(row) == n - a and row.flags.owndata
+            assert row.tolist() == [is_gcd_pair(n, a, b) for b in range(a, n)], (n, a)
 
 
 def test_pair_total_matches_the_gcd_table_to_500():
